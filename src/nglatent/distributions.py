@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import NumericalError, ParameterDomainError, UnsupportedFamilyError
 
@@ -441,6 +441,8 @@ def noise_kld(spec_true: NoiseSpec, spec_est: NoiseSpec, h: float = 1.0) -> floa
             return 0.0
         le = noise_logpdf(spec_est, x, h)
         return np.exp(lt) * (lt - le)
+
+    from scipy import integrate  # slow to load and needed only here
 
     scale = _noise_sd(spec_true, h)
     pts = [k * scale for k in (-5, -1, 0, 1, 5)]

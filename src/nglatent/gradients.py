@@ -23,6 +23,7 @@ import numpy as np
 from scipy import special
 
 from ._linalg import (
+    OperatorLU,
     bandwidth_of,
     logdet_sparse,
     obs_row_span,
@@ -134,7 +135,8 @@ def _nu_grad(mdl: Model, v_w) -> float:
 
 def _kernel_traces(mdl: Model) -> dict:
     K = mdl.op.K
-    return {name: trace_kinv_dk(K, d) for name, d in mdl.op.dK.items()}
+    lu = OperatorLU(K)
+    return {name: trace_kinv_dk(K, d, lu=lu) for name, d in mdl.op.dK.items()}
 
 
 def _grad_natural(mdl: Model, Y, state: LatentState, traces: dict) -> np.ndarray:

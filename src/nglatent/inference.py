@@ -291,7 +291,10 @@ class _ChainWorker:
         jitter = opts.jitter * self.rng.standard_normal(u0.size)
         jitter[fixed_mask] = 0.0
         self.u = u0 + jitter
-        self.gibbs = GibbsChain(model.with_theta(to_natural(self.u, tags)), Y, self.rng)
+        try:
+            self.gibbs = GibbsChain(model.with_theta(to_natural(self.u, tags)), Y, self.rng)
+        except (ParameterDomainError, FactorizationError) as exc:
+            raise OptimizationError(f"chain initialization failed: {exc}") from exc
         self.m = np.zeros(u0.size)
         self.v = np.zeros(u0.size)
         self.grads: List[np.ndarray] = []

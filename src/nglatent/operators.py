@@ -359,10 +359,11 @@ def bivariate_operator(
     dK["rho"] = (sparse.kron(sparse.csr_matrix(dD_rho), eye) @ block).tocsr()
 
     def build(p):
+        # D(zeta, rho) is 2pi-periodic in zeta, so an iterate may leave [0, 2pi]
         return bivariate_operator(
             op1.with_params(_strip_prefix("k1", p)),
             op2.with_params(_strip_prefix("k2", p)),
-            p["zeta"],
+            np.mod(p["zeta"], 2.0 * np.pi),
             p["rho"],
         )
 

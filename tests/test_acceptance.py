@@ -47,6 +47,7 @@ def benchmark_generator(N=500):
     )
 
 
+@pytest.mark.slow
 def test_criterion_01_benchmark_parameter_recovery():
     t0 = time.time()
     gen = benchmark_generator()
@@ -319,6 +320,7 @@ def test_criterion_07_rao_blackwell_variance_ordering():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_sgld_calibration():
     n = 4
     X = np.ones((n, 1))

@@ -3,7 +3,12 @@ import pytest
 from scipy import optimize, sparse
 
 from nglatent.distributions import NoiseSpec
-from nglatent.errors import InputError, OptimizationError, ParameterDomainError
+from nglatent.errors import (
+    FactorizationError,
+    InputError,
+    OptimizationError,
+    ParameterDomainError,
+)
 from nglatent.inference import (
     FitOptions,
     SgldOptions,
@@ -14,7 +19,8 @@ from nglatent.inference import (
     sgld_sample,
 )
 from nglatent.model import assemble_model, flat_priors, simulate
-from nglatent.operators import ar1_operator
+from nglatent.mesh import build_interval_mesh
+from nglatent.operators import ar1_operator, bivariate_operator, matern_operator
 from nglatent.transforms import jacobian_natural, to_natural, to_unconstrained
 
 TAGS = ("log", "log", "stationary-logit")
@@ -284,6 +290,39 @@ class TestMapFit:
         assert fit.traces[0].grad.shape == (3, 3)
         assert fit.traces[-1].iteration == 40
 
+    def test_bivariate_fit_starting_near_zeta_zero(self):
+        # chain jitter takes zeta below 0; D(zeta, rho) is 2pi-periodic, so
+        # the rebuild wraps it instead of leaving the operator's domain
+        mesh = build_interval_mesh(np.linspace(0.0, 10.0, 20))
+        op = bivariate_operator(
+            matern_operator(1.0, mesh), matern_operator(1.5, mesh), zeta=0.1, rho=0.3
+        )
+        model = assemble_model(
+            A=sparse.identity(op.dim, format="csr"),
+            X=np.zeros((op.dim, 0)),
+            op=op,
+            noise_w=NoiseSpec("gaussian", sigma=1.0),
+            noise_y=NoiseSpec("gaussian", sigma=0.5),
+        )
+        Y, _ = simulate(model, rng=np.random.default_rng(4))
+        fit = map_fit(
+            model, Y, FitOptions(chains=2, max_iters=5, min_iters=5, k=1, jitter=0.3, seed=1)
+        )
+        assert fit.n_iters == 5
+        assert np.all(np.isfinite(fit.theta_map))
+
+    @pytest.mark.parametrize("error", [ParameterDomainError, FactorizationError])
+    def test_chain_start_failure_is_an_optimization_error(self, monkeypatch, error):
+        import nglatent.inference as inference
+
+        def fail(*args, **kwargs):
+            raise error("bad start")
+
+        monkeypatch.setattr(inference, "GibbsChain", fail)
+        model = conjugate_toy()
+        with pytest.raises(OptimizationError, match="bad start"):
+            map_fit(model, np.zeros(model.m), FitOptions(chains=1, max_iters=3))
+
 
 def conjugate_toy(n=4, sigma=1.0, sigma_eps=0.5):
     """All-Gaussian model with only the intercept free: the marginal
@@ -335,6 +374,7 @@ class TestSgld:
         se = var * np.sqrt(2.0 / inc.size)
         assert abs(var - 2 * gamma) < 3 * se
 
+    @pytest.mark.slow
     def test_conjugate_gaussian_calibration(self):
         model = conjugate_toy()
         rng = np.random.default_rng(11)
