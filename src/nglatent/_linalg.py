@@ -1,29 +1,40 @@
-"""Sparse SPD factorization and partial-inverse machinery.
+"""Banded factorization of the latent conditional precision.
 
-The latent conditional precision Q = K' D_w^-1 K + A' D_y^-1 A is banded
-for the 1D operators with local observation maps, so the default path is
-a banded Cholesky Q = U'U.  The covariance band comes from a selected
-inverse (Takahashi, Fagan & Chin 1973; Rue & Held 2005, section 2.4) run
+The precision of W | V, Y is Q = K' D_w^-1 K + A' D_y^-1 A.  Its sparsity
+is that of K'K + A'A, which does not depend on the parameters, so a
+``StructurePlan`` built once per pattern of K, dK and A holds
+
+* a band order of the latent nodes: reverse Cuthill-McKee (Cuthill &
+  McKee 1969) on the pattern of K'K + A'A, kept only when it narrows
+  the bandwidth (Rue & Held 2005, section 2.4.3), the natural order
+  otherwise;
+* the pairs of stored entries that share a row of K, of A, and of each
+  dK with K, each mapped to its place in Q's upper band and in the
+  covariance band, in that order.
+
+Each draw then assembles Q's band with one ``bincount`` over the pairs
+and factors it with a banded Cholesky Q = U'U; every model takes this
+one path.  The covariance band comes from a selected inverse
+(Takahashi, Fagan & Chin 1973; Rue & Held 2005, section 2.4) run
 backwards over blocks of b >= bandwidth rows: U is then block upper
 bidiagonal, the requested band of Sigma = Q^-1 lies inside its block
 tridiagonal part, and each block costs a few dense b x b LAPACK/BLAS
-calls, O(n b^2) in all.  The fallback for general sparsity is a sparse
-LU for solves plus a dense inverse for the covariance entries, exact in
-both cases.
+calls, O(n b^2) in all.  The quadratic forms of the Rao-Blackwellized
+gradient contract the same row pairs with that band.
 """
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, solve_banded
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs, dtrtri
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .errors import FactorizationError
 
-BAND_LIMIT = 64
-DENSE_LIMIT = 4000
 # fewest rows per block of the selected inverse: smaller blocks spend
 # their time in per-block Python overhead, larger ones in dense O(b^3) work
 MIN_BLOCK = 32
@@ -53,68 +64,190 @@ def _diagonals(M: np.ndarray, k: int) -> np.ndarray:
     return np.ndarray((k + 1, m), M.dtype, M, 0, (step, step * (ncol + 1)))
 
 
-class SpdFactor:
-    """Factorization of a sparse symmetric positive definite matrix."""
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """position[order[k]] = k."""
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return position
 
-    def __init__(self, Q, force_dense: bool = False):
-        Q = sparse.csr_matrix(Q)
-        self.n = Q.shape[0]
-        self.Q = Q
-        self._sigma_dense = None
-        w = bandwidth_of(Q)
+
+# ---------------------------------------------------------------------------
+# Structure plan
+# ---------------------------------------------------------------------------
+
+
+def _row_pairs(M1, M2):
+    """(r, a, b) for every pair of stored entries M1.data[a] and
+    M2.data[b] in a common row r of two CSR matrices."""
+    n1, n2 = np.diff(M1.indptr), np.diff(M2.indptr)
+    count = n1 * n2
+    row = np.repeat(np.arange(count.size), count)
+    k = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    return row, M1.indptr[row] + k // n2[row], M2.indptr[row] + k % n2[row]
+
+
+class RowPairs:
+    """The products M1[r, i] M2[r, j] of stored entries sharing a row r,
+    with the place of Sigma[i, j] in a band-order covariance band:
+    ``lo`` the smaller band position of i and j, ``d`` their distance."""
+
+    def __init__(self, M1, M2, position: np.ndarray):
+        self.rows = M1.shape[0]
+        self.row, self.a, self.b = _row_pairs(M1, M2)
+        self.pi = position[M1.indices[self.a]]
+        self.pj = position[M2.indices[self.b]]
+        self.lo = np.minimum(self.pi, self.pj)
+        self.d = np.abs(self.pi - self.pj)
+
+    def row_sums(self, M1, M2, sig: "BandedSigma") -> np.ndarray:
+        """Vector over rows r of M1[r, :] Sigma M2[r, :]'."""
+        w = M1.data[self.a] * M2.data[self.b] * sig.S[self.d, self.lo]
+        return np.bincount(self.row, weights=w, minlength=self.rows)
+
+
+def _structure(M) -> sparse.csr_matrix:
+    """The stored pattern of a CSR matrix, with every entry one."""
+    return sparse.csr_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
+
+
+def _band_order(K, A) -> np.ndarray:
+    """Reverse Cuthill-McKee order of the pattern of K'K + A'A when it
+    gives a narrower band than the natural order, else the natural order."""
+    P, B = _structure(K), _structure(A)
+    G = (P.T @ P + B.T @ B).tocsr()
+    coo = G.tocoo()
+    natural = np.arange(G.shape[0])
+    if coo.nnz == 0:
+        return natural
+    rcm = reverse_cuthill_mckee(G, symmetric_mode=True).astype(natural.dtype)
+    position = _inverse(rcm)
+    if np.max(np.abs(position[coo.row] - position[coo.col])) < np.max(np.abs(coo.row - coo.col)):
+        return rcm
+    return natural
+
+
+class StructurePlan:
+    """Index maps from the stored patterns of K, its derivatives dK and
+    the observation map A (all CSR) to Q's band and to the covariance
+    band, in a band order of the latent nodes.
+
+    The maps address positions in ``.data``, so a plan is valid only for
+    the patterns it was built from: a parameter value that drops or adds
+    a stored entry (phi = 0 in an AR(1), say) needs a new plan, which
+    ``fits`` detects.  Attributes: ``order`` (order[k] is the natural
+    index of band position k), ``bandwidth`` of Q in that order, and
+    ``width``, the largest distance in band order between two entries of
+    one row of K, dK or A, which the gradient's quadratic forms need.
+    """
+
+    def __init__(self, K, A, dK: Mapping[str, sparse.csr_matrix]):
+        self.n = K.shape[1]
+        matrices = (K, A, *dK.values())
+        self._patterns = [(M.shape, M.indptr.copy(), M.indices.copy()) for M in matrices]
+        self._names = tuple(dK)
+        self.order = _band_order(K, A)
+        position = _inverse(self.order)
+        self.kk = RowPairs(K, K, position)
+        self.aa = RowPairs(A, A, position)
+        self.dk = {name: RowPairs(d, K, position) for name, d in dK.items()}
+        w = max(int(self.kk.d.max(initial=0)), int(self.aa.d.max(initial=0)))
         self.bandwidth = w
-        self.is_banded = (not force_dense) and w <= BAND_LIMIT and w < self.n
-        if self.is_banded:
-            try:
-                self._cb = cholesky_banded(_to_upper_banded(Q, w), lower=False)
-            except LinAlgError as exc:
-                raise FactorizationError(
-                    f"banded Cholesky failed: precision not positive definite ({exc})"
-                ) from exc
-            self._lu = None
-        else:
-            try:
-                self._lu = splu(Q.tocsc())
-            except RuntimeError as exc:
-                raise FactorizationError(
-                    f"sparse LU failed: singular or ill-conditioned precision ({exc})"
-                ) from exc
+        self.width = max([w] + [int(p.d.max(initial=0)) for p in self.dk.values()])
+        # each pair with pi <= pj adds to Q[pi, pj], stored at ab[w + pi - pj, pj]
+        k_up, a_up = self.kk.pi <= self.kk.pj, self.aa.pi <= self.aa.pj
+        self._k = self.kk.row[k_up], self.kk.a[k_up], self.kk.b[k_up]
+        self._a = self.aa.row[a_up], self.aa.a[a_up], self.aa.b[a_up]
+        pi = np.concatenate([self.kk.pi[k_up], self.aa.pi[a_up]])
+        pj = np.concatenate([self.kk.pj[k_up], self.aa.pj[a_up]])
+        self._slot = (w + pi - pj) * self.n + pj
+        # the row of each stored entry of K and of A, and its column
+        self._entry_rows = [np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)) for M in (K, A)]
+        self._entry_cols = np.concatenate([K.indices, A.indices])
+
+    def fits(self, K, A, dK: Mapping[str, sparse.csr_matrix]) -> bool:
+        """Whether K, A and dK have the stored patterns the plan was built from."""
+        return tuple(dK) == self._names and all(
+            M.shape == shape and np.array_equal(M.indptr, ptr) and np.array_equal(M.indices, idx)
+            for M, (shape, ptr, idx) in zip((K, A, *dK.values()), self._patterns)
+        )
+
+    def band(self, K, A, dw: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """Q = K' diag(dw)^-1 K + A' diag(dy)^-1 A in upper 'ab' storage,
+        band order."""
+        kr, ka, kb = self._k
+        ar, aa, ab = self._a
+        weights = np.concatenate([
+            K.data[ka] * K.data[kb] / dw[kr],
+            A.data[aa] * A.data[ab] / dy[ar],
+        ])
+        size = (self.bandwidth + 1) * self.n
+        return np.bincount(self._slot, weights, minlength=size).reshape(-1, self.n)
+
+    def rhs(self, K, A, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """K' u + A' r, natural order."""
+        kr, ar = self._entry_rows
+        weights = np.concatenate([K.data * u[kr], A.data * r[ar]])
+        return np.bincount(self._entry_cols, weights, minlength=self.n)
+
+
+# ---------------------------------------------------------------------------
+# Factorization and covariance access
+# ---------------------------------------------------------------------------
+
+
+class SpdFactor:
+    """Banded Cholesky factor Q = U'U of a symmetric positive definite
+    matrix, held in a band order of its nodes.
+
+    ``Q`` is a sparse matrix, factored in its own order, or its upper band
+    in 'ab' storage (ab[w + i - j, j] = Q[i, j]) in the order ``order``,
+    where order[k] is the natural index of band position k.  ``solve``
+    and ``whiten`` take and return vectors in natural order.
+    """
+
+    # every precision takes the banded path
+    is_banded = True
+
+    def __init__(self, Q, order: np.ndarray | None = None):
+        if sparse.issparse(Q):
+            Q = _to_upper_banded(Q, bandwidth_of(Q))
+        self.bandwidth = Q.shape[0] - 1
+        self.n = Q.shape[1]
+        self.order = np.arange(self.n) if order is None else order
+        self._cb, info = dpbtrf(Q, lower=0)
+        # LAPACK passes NaN through; a NaN anywhere in Q reaches U's diagonal
+        if info != 0 or not np.all(np.isfinite(self._cb[-1])):
+            raise FactorizationError(
+                "banded Cholesky failed: precision not positive definite or not "
+                f"finite (info {info})"
+            )
+
+    def _natural(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
 
     def solve(self, b):
         """Q^-1 b for a vector or a dense matrix of right-hand sides."""
-        if self.is_banded:
-            return cho_solve_banded((self._cb, False), b)
-        return self._lu.solve(np.asarray(b))
+        x, _ = dpbtrs(self._cb, np.asarray(b)[self.order], lower=0)
+        return self._natural(x)
 
     def whiten(self, z):
         """x with Cov(x) = Q^-1 from standard normal z, via backward
-        substitution on the Cholesky factor.  None when no triangular
-        factor is available (caller falls back to a noise-built RHS)."""
-        if not self.is_banded:
-            return None
-        return solve_banded((0, self.bandwidth), self._cb, z)
+        substitution on the Cholesky factor."""
+        x, _ = dtbtrs(self._cb, z, uplo="U")
+        return self._natural(x)
 
     def logdet(self) -> float:
-        if self.is_banded:
-            return 2.0 * float(np.sum(np.log(self._cb[-1])))
-        return float(
-            np.sum(np.log(np.abs(self._lu.U.diagonal())))
-            + np.sum(np.log(np.abs(self._lu.L.diagonal())))
-        )
-
-    # -- covariance access ------------------------------------------------
+        return 2.0 * float(np.sum(np.log(self._cb[-1])))
 
     def sigma_dense(self) -> np.ndarray:
-        if self._sigma_dense is None:
-            if self.n > DENSE_LIMIT:
-                raise FactorizationError(
-                    f"dense covariance fallback capped at n = {DENSE_LIMIT}, got {self.n}"
-                )
-            self._sigma_dense = self.solve(np.eye(self.n))
-        return self._sigma_dense
+        """Q^-1 as a dense matrix, from the banded factor."""
+        return self.solve(np.eye(self.n))
 
     def sigma_band(self, width: int):
-        """Entries Sigma[i, i+d] of Q^-1 for 0 <= d <= width.
+        """Entries of Q^-1 within ``width`` positions of the diagonal, in
+        band order.
 
         Banded factors run the selected inverse backwards over blocks of
         b = max(width, bandwidth, MIN_BLOCK) rows, so that the factor U
@@ -129,11 +262,9 @@ class SpdFactor:
 
         which is exact: no entry of the band is approximated.  Only the
         first bandwidth rows of X are nonzero, so the products run on
-        those.  The cost is O(n b^2).  Without a banded factor the
-        entries come from the dense inverse.
+        those.  The cost is O(n b^2).  The band is held in the factor's
+        order; ``BandedSigma`` maps natural indices into it.
         """
-        if not self.is_banded:
-            return DenseSigma(self.sigma_dense())
         w, n = self.bandwidth, self.n
         width = max(width, w)
         b = max(width, MIN_BLOCK)
@@ -163,117 +294,47 @@ class SpdFactor:
             T[:, :m] = sig
             S[:, s:e] = _diagonals(T, width)
             sig_next = sig
-        return BandedSigma(S)
+        return BandedSigma(S, self.order)
 
 
 class BandedSigma:
-    """Covariance entries within a band: S[d, i] = Sigma[i, i+d]."""
+    """Covariance entries within a band, held in a band order:
+    S[d, k] = Sigma[order[k], order[k + d]].  ``entries`` and ``diagonal``
+    take and return natural indices."""
 
-    def __init__(self, S: np.ndarray):
+    def __init__(self, S: np.ndarray, order: np.ndarray):
         self.S = S
+        self.order = order
         self.width = S.shape[0] - 1
         self.n = S.shape[1]
 
     def entries(self, rows, cols):
-        d = np.abs(cols - rows)
+        position = _inverse(self.order)
+        pr, pc = position[rows], position[cols]
+        d = np.abs(pc - pr)
         if np.any(d > self.width):
             raise FactorizationError("covariance entry requested outside stored band")
-        return self.S[d, np.minimum(rows, cols)]
+        return self.S[d, np.minimum(pr, pc)]
 
     def diagonal(self):
-        return self.S[0]
+        out = np.empty(self.n)
+        out[self.order] = self.S[0]
+        return out
 
 
-class DenseSigma:
-    def __init__(self, sigma: np.ndarray):
-        self.sigma = sigma
-        self.n = sigma.shape[0]
-
-    def entries(self, rows, cols):
-        return self.sigma[rows, cols]
-
-    def diagonal(self):
-        return np.diag(self.sigma)
+def sigma_cross_quad_diag(sig: BandedSigma, P, K, pairs: RowPairs) -> np.ndarray:
+    """Vector of P_i. Sigma K_i.' over rows i, from the row pairs of P and K."""
+    return pairs.row_sums(P, K, sig)
 
 
-def sigma_trace_with(sig, M) -> float:
-    """tr(M Sigma) for sparse M with entries inside the stored band."""
-    coo = M.tocoo()
-    if coo.nnz == 0:
-        return 0.0
-    if isinstance(sig, DenseSigma):
-        return float(np.sum(coo.data * sig.sigma[coo.col, coo.row]))
-    return float(np.sum(coo.data * sig.entries(coo.col, coo.row)))
+def sigma_quad_diag(sig: BandedSigma, K, pairs: RowPairs) -> np.ndarray:
+    """diag(K Sigma K') from the row pairs of K with itself."""
+    return pairs.row_sums(K, K, sig)
 
 
-def sigma_cross_quad_diag(sig, P, K) -> np.ndarray:
-    """Vector of P_i. Sigma K_i.' over rows i, for square same-shape P, K."""
-    if isinstance(sig, DenseSigma):
-        T = P @ sig.sigma
-        return np.asarray(K.multiply(T).sum(axis=1)).ravel()
-    n = K.shape[0]
-    p_coo, k_coo = P.tocoo(), K.tocoo()
-    p_offsets = np.unique(p_coo.col - p_coo.row)
-    k_offsets = np.unique(k_coo.col - k_coo.row)
-    p_diags = {int(d): P.diagonal(int(d)) for d in p_offsets}
-    k_diags = {int(d): K.diagonal(int(d)) for d in k_offsets}
-    out = np.zeros(n)
-    for d1 in p_offsets:
-        d1 = int(d1)
-        p1 = p_diags[d1]
-        for d2 in k_offsets:
-            d2 = int(d2)
-            k2 = k_diags[d2]
-            # rows i where both P[i, i+d1] and K[i, i+d2] exist
-            lo = max(0, -d1, -d2)
-            hi = min(n, n - d1, n - d2)
-            if hi <= lo:
-                continue
-            i = np.arange(lo, hi)
-            v1 = p1[i + d1] if d1 < 0 else p1[i]
-            v2 = k2[i + d2] if d2 < 0 else k2[i]
-            s = sig.entries(i + d1, i + d2)
-            out[lo:hi] += v1 * v2 * s
-    return out
-
-
-def sigma_quad_diag(sig, K) -> np.ndarray:
-    """diag(K Sigma K') for square sparse K within the stored band."""
-    return sigma_cross_quad_diag(sig, K, K)
-
-
-def sigma_obs_quad_trace(sig, A) -> float:
-    """tr(A Sigma A') for a (possibly rectangular) sparse observation map."""
-    if isinstance(sig, DenseSigma):
-        T = A @ sig.sigma
-        return float(A.multiply(T).sum())
-    A = sparse.csr_matrix(A)
-    nnz_per_row = np.diff(A.indptr)
-    total = 0.0
-    single = nnz_per_row == 1
-    if np.any(single):
-        rows = np.flatnonzero(single)
-        cols = A.indices[A.indptr[rows]]
-        vals = A.data[A.indptr[rows]]
-        total += float(np.sum(vals**2 * sig.diagonal()[cols]))
-    for r in np.flatnonzero(nnz_per_row > 1):
-        sl = slice(A.indptr[r], A.indptr[r + 1])
-        cols = A.indices[sl]
-        vals = A.data[sl]
-        ci, cj = np.meshgrid(cols, cols)
-        total += float(vals @ sig.entries(ci.ravel(), cj.ravel()).reshape(ci.shape) @ vals)
-    return total
-
-
-def obs_row_span(A) -> int:
-    """Largest latent-index span of any observation row."""
-    A = sparse.csr_matrix(A)
-    span = 0
-    nnz_per_row = np.diff(A.indptr)
-    for r in np.flatnonzero(nnz_per_row > 1):
-        cols = A.indices[A.indptr[r] : A.indptr[r + 1]]
-        span = max(span, int(cols.max() - cols.min()))
-    return span
+def sigma_obs_quad_trace(sig: BandedSigma, A, pairs: RowPairs) -> float:
+    """tr(A Sigma A') from the row pairs of A with itself."""
+    return float(pairs.row_sums(A, A, sig).sum())
 
 
 def logdet_sparse(K) -> float:

@@ -49,41 +49,36 @@ def _prepared(model: Model, theta) -> Model:
 
 
 def _w_conditional(mdl: Model, v_w, v_y, Y):
-    """Mean, precision, and factor of W | V, Y (Proposition-style forms)."""
+    """Mean and banded factor of W | V, Y (Proposition-style forms).
+
+    Q's band comes from the model's structure plan; no sparse matrix is
+    built per call."""
     if np.any(v_w <= 0) or np.any(v_y <= 0):
         raise InputError("mixing variables must be strictly positive")
     K, A = mdl.op.K, mdl.A
     dw = mdl.noise_w.sigma**2 * v_w
     dy = mdl.noise_y.sigma**2 * v_y
-    KtDw = K.T.multiply(1.0 / dw)  # K' D_w^-1 (columns scaled)
-    AtDy = A.T.multiply(1.0 / dy)
-    Q = (KtDw @ K + AtDy @ A).tocsr()
     mean_w = mdl.noise_w.mu * (v_w - mdl.noise_w.h)
     resid = Y - mdl.X @ mdl.beta - mdl.noise_y.mu * (v_y - 1.0)
-    rhs = KtDw @ mean_w + AtDy @ resid
-    factor = SpdFactor(Q)
-    mu = factor.solve(rhs)
-    return mu, Q, factor, dw, dy
+    plan = mdl.plan
+    factor = SpdFactor(plan.band(K, A, dw, dy), plan.order)
+    return factor.solve(plan.rhs(K, A, mean_w / dw, resid / dy)), factor
 
 
 def conditional_w_params(model: Model, theta, V, Y):
-    """Mean vector and sparse precision of W | V, Y."""
+    """Mean vector and sparse precision (natural order) of W | V, Y."""
     mdl = _prepared(model, theta)
-    v_w, v_y = V
-    mu, Q, _, _, _ = _w_conditional(mdl, np.asarray(v_w, float), np.asarray(v_y, float), Y)
-    return mu, Q
+    v_w, v_y = (np.asarray(v, float) for v in V)
+    mu, _ = _w_conditional(mdl, v_w, v_y, Y)
+    K, A = mdl.op.K, mdl.A
+    Q = K.T.multiply(1.0 / (mdl.noise_w.sigma**2 * v_w)) @ K
+    Q = Q + A.T.multiply(1.0 / (mdl.noise_y.sigma**2 * v_y)) @ A
+    return mu, sparse.csr_matrix(Q)
 
 
 def _draw_w(rng, mdl, v_w, v_y, Y, cond=None):
-    mu, Q, factor, dw, dy = cond if cond is not None else _w_conditional(mdl, v_w, v_y, Y)
-    z = rng.standard_normal(mdl.n)
-    x = factor.whiten(z)
-    if x is None:
-        # no triangular factor: build a RHS whose covariance is Q and solve
-        z2 = rng.standard_normal(mdl.m)
-        b = mdl.op.K.T @ (z / np.sqrt(dw)) + mdl.A.T @ (z2 / np.sqrt(dy))
-        x = factor.solve(b)
-    return mu + x
+    mu, factor = cond if cond is not None else _w_conditional(mdl, v_w, v_y, Y)
+    return mu + factor.whiten(rng.standard_normal(mdl.n))
 
 
 def sample_w(rng, model: Model, theta, V, Y):
@@ -93,27 +88,32 @@ def sample_w(rng, model: Model, theta, V, Y):
     return _draw_w(rng, mdl, np.asarray(v_w, float), np.asarray(v_y, float), Y)
 
 
+def _gig_params(noise, e):
+    """(p, a, b) of the conditional GIG laws of one mixing block, given its
+    residuals e (K W for the process block, Y - X beta - A W for the
+    measurement block)."""
+    p, a, b = mixing_prior_arrays(noise)
+    mu, sig2 = noise.mu, noise.sigma**2
+    return p - 0.5, a + mu**2 / sig2, b + (e + mu * noise.h) ** 2 / sig2
+
+
+def _gig_draw(rng, noise, e):
+    p, a, b = _gig_params(noise, e)
+    np.maximum(b, 1e-30, out=b)
+    v = gig_sample_many(rng, p, a, b)
+    np.maximum(v, V_FLOOR, out=v)
+    return v
+
+
 def _draw_v(rng, mdl, W, Y):
     if mdl.noise_w.family == GAUSSIAN:
         v_w = mdl.noise_w.h.copy()
     else:
-        p, a, b = mixing_prior_arrays(mdl.noise_w)
-        mu, sig2 = mdl.noise_w.mu, mdl.noise_w.sigma**2
-        kw = mdl.op.K @ W
-        b_post = b + (kw + mu * mdl.noise_w.h) ** 2 / sig2
-        np.maximum(b_post, 1e-30, out=b_post)
-        v_w = gig_sample_many(rng, p - 0.5, a + mu**2 / sig2, b_post)
-        np.maximum(v_w, V_FLOOR, out=v_w)
+        v_w = _gig_draw(rng, mdl.noise_w, mdl.op.K @ W)
     if mdl.noise_y.family == GAUSSIAN:
         v_y = np.ones(mdl.m)
     else:
-        p, a, b = mixing_prior_arrays(mdl.noise_y)
-        mu, sig2 = mdl.noise_y.mu, mdl.noise_y.sigma**2
-        resid = Y - mdl.X @ mdl.beta - mdl.A @ W
-        b_post = b + (resid + mu) ** 2 / sig2
-        np.maximum(b_post, 1e-30, out=b_post)
-        v_y = gig_sample_many(rng, p - 0.5, a + mu**2 / sig2, b_post)
-        np.maximum(v_y, V_FLOOR, out=v_y)
+        v_y = _gig_draw(rng, mdl.noise_y, Y - mdl.X @ mdl.beta - mdl.A @ W)
     return v_w, v_y
 
 
@@ -127,14 +127,7 @@ def sample_v(rng, model: Model, theta, W, Y) -> Tuple[np.ndarray, np.ndarray]:
 def conditional_v_gig_params(model: Model, theta, W, Y):
     """(p, a, b) arrays of the process-block conditional GIG laws."""
     mdl = _prepared(model, theta)
-    p, a, b = mixing_prior_arrays(mdl.noise_w)
-    mu, sig2 = mdl.noise_w.mu, mdl.noise_w.sigma**2
-    kw = mdl.op.K @ np.asarray(W, float)
-    return (
-        p - 0.5,
-        a + mu**2 / sig2,
-        b + (kw + mu * mdl.noise_w.h) ** 2 / sig2,
-    )
+    return _gig_params(mdl.noise_w, mdl.op.K @ np.asarray(W, float))
 
 
 class GibbsChain:

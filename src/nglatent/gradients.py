@@ -24,9 +24,7 @@ from scipy import special
 
 from ._linalg import (
     OperatorLU,
-    bandwidth_of,
     logdet_sparse,
-    obs_row_span,
     sigma_cross_quad_diag,
     sigma_obs_quad_trace,
     sigma_quad_diag,
@@ -215,14 +213,15 @@ def mc_gradient(
     return GradientReport(g=g - pg, k=len(states), estimator="MC")
 
 
-def _rb_grad_natural(mdl: Model, Y, v_w, v_y, traces: dict, band: int, cond=None) -> np.ndarray:
-    mu, Q, factor, dw, dy = cond if cond is not None else _w_conditional(mdl, v_w, v_y, Y)
-    sig_view = factor.sigma_band(band)
+def _rb_grad_natural(mdl: Model, Y, v_w, v_y, traces: dict, cond=None) -> np.ndarray:
+    mu, factor = cond if cond is not None else _w_conditional(mdl, v_w, v_y, Y)
+    plan = mdl.plan
+    sig_view = factor.sigma_band(plan.width)
     nw = mdl.noise_w
     K = mdl.op.K
 
     r_bar = Y - mdl.X @ mdl.beta - mdl.A @ mu
-    tr_obs = sigma_obs_quad_trace(sig_view, mdl.A)
+    tr_obs = sigma_obs_quad_trace(sig_view, mdl.A, plan.aa)
     sig_eps = mdl.noise_y.sigma
     parts = [mdl.X.T @ r_bar / sig_eps**2]
     parts.append(
@@ -230,7 +229,7 @@ def _rb_grad_natural(mdl: Model, Y, v_w, v_y, traces: dict, band: int, cond=None
     )
 
     e_bar = K @ mu - nw.mu * (v_w - nw.h)
-    quad_k = sigma_quad_diag(sig_view, K)
+    quad_k = sigma_quad_diag(sig_view, K, plan.kk)
     sig = nw.sigma
     if nw.family != GAUSSIAN:
         g_mu = np.sum(e_bar * (v_w - nw.h) / v_w) / sig**2
@@ -243,7 +242,7 @@ def _rb_grad_natural(mdl: Model, Y, v_w, v_y, traces: dict, band: int, cond=None
     kernel = []
     for name in mdl.op.params:
         dK = mdl.op.dK[name]
-        cross = sigma_cross_quad_diag(sig_view, dK, K)
+        cross = sigma_cross_quad_diag(sig_view, dK, K, plan.dk[name])
         quad = (dK @ mu) @ ev + np.sum(cross / v_w)
         kernel.append(traces[name] - quad / sig**2)
     parts.append(kernel)
@@ -265,7 +264,6 @@ def rb_gradient(
         raise InputError("gradient estimation needs at least one draw")
     priors = mdl.priors if priors is None else priors
     traces = _kernel_traces(mdl)
-    band = max(2 * bandwidth_of(mdl.op.K), obs_row_span(mdl.A))
     acc = np.zeros(mdl.n_params)
     for j, draw in enumerate(v_draws):
         if isinstance(draw, LatentState):
@@ -277,7 +275,7 @@ def rb_gradient(
         if np.any(v_w <= 0) or np.any(v_y <= 0):
             raise ParameterDomainError("mixing variables must be strictly positive")
         cond = _conds[j] if _conds is not None else None
-        acc += _rb_grad_natural(mdl, Y, v_w, v_y, traces, band, cond=cond)
+        acc += _rb_grad_natural(mdl, Y, v_w, v_y, traces, cond=cond)
     nat = acc / len(v_draws)
     g = -nat * jacobian_natural(mdl.theta_natural(), mdl.transform_tags)
     _, pg = prior_grad(priors, mdl.theta_unconstrained(), mdl.param_names)

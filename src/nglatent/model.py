@@ -22,6 +22,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from . import transforms as tr
+from ._linalg import StructurePlan
 from .distributions import GAUSSIAN, NoiseSpec, gh_noise_sample
 from .errors import AssemblyError, FactorizationError
 from .operators import LatentOperator
@@ -127,6 +128,13 @@ class Model:
     priors: PriorSet
     param_names: Tuple[str, ...] = field(default=())
     transform_tags: Tuple[str, ...] = field(default=())
+    plan: Optional[StructurePlan] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        # a plan passed on by with_theta stays while the stored patterns of
+        # K, dK and A do; a parameter value that drops an entry needs a new one
+        if self.plan is None or not self.plan.fits(self.op.K, self.A, self.op.dK):
+            object.__setattr__(self, "plan", StructurePlan(self.op.K, self.A, self.op.dK))
 
     @property
     def n(self) -> int:
@@ -185,6 +193,7 @@ class Model:
             priors=self.priors,
             param_names=self.param_names,
             transform_tags=self.transform_tags,
+            plan=self.plan,
         )
 
     def theta_unconstrained(self) -> np.ndarray:

@@ -231,15 +231,19 @@ def ou_operator(theta: float, mesh: Mesh1D) -> LatentOperator:
 
 def matern_operator(kappa: float, mesh: Mesh1D) -> LatentOperator:
     """Whittle-Matern SPDE operator K = kappa^2 C + G on a 1D mesh."""
+    return _matern(kappa, mesh, fem_matrices(mesh))
+
+
+def _matern(kappa: float, mesh: Mesh1D, fm) -> LatentOperator:
+    # C and G do not depend on kappa: every rebuild reuses the first assembly
     kappa = float(kappa)
     if not kappa > 0:
         raise ParameterDomainError(f"Matern requires kappa > 0, got {kappa}")
-    fm = fem_matrices(mesh)
     K = (kappa**2) * fm.C_lumped + fm.G
     dK = 2.0 * kappa * fm.C_lumped
 
     def build(params):
-        return matern_operator(params["kappa"], mesh)
+        return _matern(params["kappa"], mesh, fm)
 
     return LatentOperator(
         kind="matern",
@@ -414,6 +418,11 @@ def advdiff_operator(
     sub-diagonal blocks -sqrt(c) C, and spatial operator
     L = kappa^2 C + G + B(gamma) (no streamline stabilization).
     """
+    return _advdiff(kappa, gamma, c, mesh, T, fem_matrices(mesh, advection=1.0))
+
+
+def _advdiff(kappa, gamma, c, mesh: Mesh1D, T, fm) -> LatentOperator:
+    # C, G and B do not depend on the parameters: every rebuild reuses them
     kappa, gamma, c = float(kappa), float(gamma), float(c)
     if not kappa > 0:
         raise ParameterDomainError(f"advection-diffusion requires kappa > 0, got {kappa}")
@@ -422,7 +431,6 @@ def advdiff_operator(
     T = int(T)
     if T < 2:
         raise InputError("advection-diffusion needs T >= 2 time steps")
-    fm = fem_matrices(mesh, advection=1.0)
     C, G, B_unit = fm.C_lumped, fm.G, fm.B
     rc = np.sqrt(c)
     L = (kappa**2) * C + G + gamma * B_unit
@@ -442,7 +450,7 @@ def advdiff_operator(
     }
 
     def build(p):
-        return advdiff_operator(p["kappa"], p["gamma"], p["c"], mesh, T)
+        return _advdiff(p["kappa"], p["gamma"], p["c"], mesh, T, fm)
 
     return LatentOperator(
         kind="advdiff",

@@ -21,9 +21,9 @@ from nglatent.model import (
     flat_priors,
     simulate,
 )
-from nglatent.operators import ar1_operator, matern_operator, ou_operator
+from nglatent.operators import ar1_operator, bivariate_operator, matern_operator, ou_operator
 from nglatent.mesh import build_interval_mesh
-from nglatent.transforms import to_natural, to_unconstrained
+from nglatent.transforms import jacobian_natural, to_natural, to_unconstrained
 
 
 def make_model(family="nig", n=6, op=None, sigma_eps=1.0, mu=3.0, sigma=2.0, nu=0.4, X=None, beta=None):
@@ -358,20 +358,40 @@ class TestRbGradient:
         assert g_rb.var(axis=0).sum() < g_mc.var(axis=0).sum()
 
     def test_dense_and_banded_paths_agree(self):
-        # force the dense covariance path and compare against banded
-        model = make_model("nig", n=7)
-        rng = np.random.default_rng(10)
-        Y, _ = simulate(model, rng=rng)
-        state = gibbs_run(rng, model, None, Y, iters=30, burnin=29).states[0]
-        v = (state.V_W, state.V_Y)
-        g_banded = rb_gradient(model, None, Y, [v]).g
+        # the banded path against Sigma = inv(Q) from numpy, on an AR(1) and
+        # on a bivariate model whose plan order is a reverse Cuthill-McKee order
+        mesh = build_interval_mesh(np.linspace(0.0, 4.0, 9))
+        op = bivariate_operator(matern_operator(0.8, mesh), matern_operator(1.6, mesh), 2.5, 0.5)
+        bivariate = make_model("nig", op=op, mu=0.5, sigma=1.0, nu=1.0, sigma_eps=0.3)
+        assert not np.array_equal(bivariate.plan.order, np.arange(bivariate.n))
+        for model in (make_model("nig", n=7), bivariate):
+            rng = np.random.default_rng(10)
+            Y, _ = simulate(model, rng=rng)
+            state = gibbs_run(rng, model, None, Y, iters=30, burnin=29).states[0]
+            v = (state.V_W, state.V_Y)
+            g = rb_gradient(model, None, Y, [v]).g
+            ref = dense_rb_gradient(model, Y, *v)
+            assert np.allclose(g, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
 
-        import nglatent._linalg as la
 
-        old = la.BAND_LIMIT
-        la.BAND_LIMIT = -1
-        try:
-            g_dense = rb_gradient(model, None, Y, [v]).g
-        finally:
-            la.BAND_LIMIT = old
-        assert np.allclose(g_banded, g_dense, atol=1e-9)
+def dense_rb_gradient(model, Y, v_w, v_y):
+    """The Rao-Blackwellized gradient with Sigma = inv(Q) from numpy: the
+    augmented gradient at the conditional mean plus the covariance terms
+    tr(A Sigma A'), diag(K Sigma K') and diag(dK Sigma K')."""
+    K, A = model.op.K.toarray(), model.A.toarray()
+    nw, ny = model.noise_w, model.noise_y
+    dw, dy = nw.sigma**2 * v_w, ny.sigma**2 * v_y
+    sigma = np.linalg.inv(K.T @ (K / dw[:, None]) + A.T @ (A / dy[:, None]))
+    resid = Y - model.X @ model.beta - ny.mu * (v_y - 1.0)
+    mean = sigma @ (K.T @ (nw.mu * (v_w - nw.h) / dw) + A.T @ (resid / dy))
+    names = model.param_names
+    extra = np.zeros(len(names))
+    extra[names.index("sigma_eps")] = np.trace(A @ sigma @ A.T) / ny.sigma**3
+    extra[names.index("sigma")] = np.sum(np.diag(K @ sigma @ K.T) / v_w) / nw.sigma**3
+    for name, dK in model.op.dK.items():
+        cross = np.diag(dK.toarray() @ sigma @ K.T)
+        extra[names.index(name)] = -np.sum(cross / v_w) / nw.sigma**2
+    g = augmented_grad(model, None, Y, LatentState(W=mean, V_W=v_w, V_Y=v_y))
+    g = g + extra * jacobian_natural(model.theta_natural(), model.transform_tags)
+    _, pg = prior_grad(model.priors, model.theta_unconstrained(), names)
+    return -g - pg

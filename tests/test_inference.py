@@ -311,6 +311,28 @@ class TestMapFit:
         assert fit.n_iters == 5
         assert np.all(np.isfinite(fit.theta_map))
 
+    def test_large_bivariate_fit(self):
+        # n = 4200: coupled nodes i and i + 2100 give Q a natural bandwidth
+        # of 2102; the band order narrows it to 5, so the RB gradient runs
+        # on the banded path at a size the dense inverse never reached
+        mesh = build_interval_mesh(np.linspace(0.0, 100.0, 2100))
+        op = bivariate_operator(
+            matern_operator(0.5, mesh), matern_operator(1.0, mesh), zeta=2.5, rho=0.5
+        )
+        model = assemble_model(
+            A=sparse.identity(op.dim, format="csr"),
+            X=np.zeros((op.dim, 0)),
+            op=op,
+            noise_w=NoiseSpec("nig", sigma=1.0, mu=0.5, nu=1.0),
+            noise_y=NoiseSpec("gaussian", sigma=0.2),
+        )
+        assert model.plan.bandwidth <= 8
+        Y, _ = simulate(model, rng=np.random.default_rng(5))
+        fit = map_fit(model, Y, FitOptions(chains=2, max_iters=3, min_iters=3, k=1, seed=1))
+        assert fit.n_iters == 3
+        assert all(np.all(np.isfinite(t.theta)) for t in fit.traces)
+        assert np.all(np.isfinite(fit.theta_map))
+
     @pytest.mark.parametrize("error", [ParameterDomainError, FactorizationError])
     def test_chain_start_failure_is_an_optimization_error(self, monkeypatch, error):
         import nglatent.inference as inference

@@ -313,6 +313,32 @@ class TestAdvDiff:
             advdiff_operator(1.0, 0.0, -1.0, mesh, T=2)
 
 
+@pytest.mark.parametrize(
+    "make, params",
+    [
+        (lambda mesh, p: matern_operator(p["kappa"], mesh), {"kappa": 2.0}),
+        (
+            lambda mesh, p: advdiff_operator(p["kappa"], p["gamma"], p["c"], mesh, T=3),
+            {"kappa": 0.7, "gamma": -0.2, "c": 2.0},
+        ),
+    ],
+)
+def test_fem_matrices_assembled_once_per_operator(monkeypatch, make, params):
+    import nglatent.operators as operators
+
+    calls = []
+    fem = operators.fem_matrices
+    monkeypatch.setattr(operators, "fem_matrices", lambda *a, **k: calls.append(a) or fem(*a, **k))
+    mesh = build_interval_mesh([0.0, 0.5, 1.5, 2.0])
+    op = make(mesh, {"kappa": 1.0, "gamma": 0.3, "c": 1.2})
+    rebuilt = op.with_params(params).with_params(params)
+    assert len(calls) == 1
+    fresh = make(mesh, params)
+    assert np.array_equal(rebuilt.K.toarray(), fresh.K.toarray())
+    for name in fresh.dK:
+        assert np.array_equal(rebuilt.dK[name].toarray(), fresh.dK[name].toarray())
+
+
 class TestOperatorDtheta:
     def test_ar1_fd_oracle(self):
         op = ar1_operator(0.5, 5)
