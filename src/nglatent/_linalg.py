@@ -21,6 +21,11 @@ bidiagonal, the requested band of Sigma = Q^-1 lies inside its block
 tridiagonal part, and each block costs a few dense b x b LAPACK/BLAS
 calls, O(n b^2) in all.  The quadratic forms of the Rao-Blackwellized
 gradient contract the same row pairs with that band.
+
+The log-determinant of the operator K and its gradient are not computed
+here: each operator supplies them from its own structure
+(``LatentOperator.logdet_grad``); the SPD Matern operator does so with
+``SpdFactor`` of K itself.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs, dtrtri
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import splu
 
 from .errors import FactorizationError
 
@@ -335,73 +339,3 @@ def sigma_quad_diag(sig: BandedSigma, K, pairs: RowPairs) -> np.ndarray:
 def sigma_obs_quad_trace(sig: BandedSigma, A, pairs: RowPairs) -> float:
     """tr(A Sigma A') from the row pairs of A with itself."""
     return float(pairs.row_sums(A, A, sig).sum())
-
-
-def logdet_sparse(K) -> float:
-    """log |det K| via sparse LU."""
-    try:
-        lu = splu(sparse.csc_matrix(K))
-    except RuntimeError as exc:
-        raise FactorizationError(f"operator factorization failed: {exc}") from exc
-    return float(
-        np.sum(np.log(np.abs(lu.U.diagonal())))
-        + np.sum(np.log(np.abs(lu.L.diagonal())))
-    )
-
-
-def _orientation(M):
-    """'lower', 'upper', 'diag', or None by stored pattern."""
-    coo = M.tocoo()
-    low = bool(np.all(coo.row >= coo.col))
-    up = bool(np.all(coo.row <= coo.col))
-    if low and up:
-        return "diag"
-    if low:
-        return "lower"
-    if up:
-        return "upper"
-    return None
-
-
-class OperatorLU:
-    """Sparse LU of an operator K, computed at its first solve, so that
-    the traces of several derivatives against one K share it."""
-
-    def __init__(self, K):
-        self.K = K
-        self._lu = None
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu is None:
-            try:
-                self._lu = splu(sparse.csc_matrix(self.K))
-            except RuntimeError as exc:
-                raise FactorizationError(f"operator factorization failed: {exc}") from exc
-        return self._lu.solve(rhs)
-
-
-def trace_kinv_dk(K, dK, chunk: int = 256, lu: OperatorLU | None = None) -> float:
-    """tr(K^-1 dK) via sparse solves against the nonzero columns of dK.
-
-    For (pattern-)triangular K whose derivative pattern lies inside it,
-    the inverse is triangular with the same orientation and the trace
-    collapses to sum(diag(dK) / diag(K)).  Pass ``lu`` to share one
-    factorization of K across several derivatives.
-    """
-    coo = dK.tocoo()
-    mask = coo.data != 0.0
-    cols = np.unique(coo.col[mask])
-    if cols.size == 0:
-        return 0.0
-    orient = _orientation(K)
-    if orient == "diag" or (orient in ("lower", "upper") and _orientation(dK) in ("diag", orient)):
-        return float(np.sum(dK.diagonal() / K.diagonal()))
-    lu = OperatorLU(K) if lu is None else lu
-    dK = sparse.csc_matrix(dK)
-    total = 0.0
-    for start in range(0, cols.size, chunk):
-        block = cols[start : start + chunk]
-        rhs = np.asarray(dK[:, block].todense())
-        X = lu.solve(rhs)
-        total += float(X[block, np.arange(block.size)].sum())
-    return total

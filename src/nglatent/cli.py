@@ -273,11 +273,11 @@ def _column(header, rows, name, path):
 # ---------------------------------------------------------------------------
 
 
-def _observation_rows(config: RunConfig, header, rows, path):
-    """A-matrix rows and covariate matrix from a table's role columns."""
+def _observation_rows(config: RunConfig, n_latent: int, header, rows, path):
+    """A-matrix rows and covariate matrix from a table's role columns,
+    for an operator with ``n_latent`` nodes."""
     data_cfg = config.data
     op_cfg = config.model["operator"]
-    n_latent = build_operator(op_cfg).dim
     m = len(rows)
     if "index" in data_cfg and data_cfg["index"]:
         idx = np.array([int(float(v)) for v in _column(header, rows, data_cfg["index"], path)])
@@ -321,8 +321,7 @@ def _observation_rows(config: RunConfig, header, rows, path):
     return A, X
 
 
-def build_model_from_config(config: RunConfig, A, X, beta=None):
-    op = build_operator(config.model["operator"])
+def build_model_from_config(config: RunConfig, op, A, X, beta=None):
     noise_w = build_noise(config.model["noise_w"], "model.noise_w")
     noise_y = build_noise(config.model["noise_y"], "model.noise_y")
     model = assemble_model(A=A, X=X, op=op, noise_w=noise_w, noise_y=noise_y, beta=beta)
@@ -334,7 +333,7 @@ def build_model_from_config(config: RunConfig, A, X, beta=None):
     return model
 
 
-def _load_fit_inputs(config: RunConfig):
+def _load_fit_inputs(config: RunConfig, n_latent: int):
     path = _require(config.data, "path", "data")
     response = _require(config.data, "response", "data")
     header, rows = read_table(path)
@@ -345,7 +344,7 @@ def _load_fit_inputs(config: RunConfig):
         raise InputError(f"no usable rows in {path} (all responses missing)")
     rows = [rows[i] for i in keep]
     Y = np.array([float(v) for v in _column(header, rows, response, path)])
-    A, X = _observation_rows(config, header, rows, path)
+    A, X = _observation_rows(config, n_latent, header, rows, path)
     return Y, A, X
 
 
@@ -370,7 +369,7 @@ def run_simulate(config: RunConfig, out_dir=None):
         )
     else:
         beta, X = None, np.zeros((n, 0))
-    model = build_model_from_config(config, sparse.identity(n, format="csr"), X, beta)
+    model = build_model_from_config(config, op, sparse.identity(n, format="csr"), X, beta)
     if model.m == 0:
         raise ConfigError("zero-observation simulation is invalid")
     Y, state = simulate(model, rng=rng)
@@ -389,7 +388,7 @@ def run_simulate(config: RunConfig, out_dir=None):
     return {"data": data_path, "truth": truth_path}
 
 
-def _fit_options(config: RunConfig, threads: int) -> FitOptions:
+def _fit_options(config: RunConfig) -> FitOptions:
     inf = config.inference
     return FitOptions(
         chains=int(inf["chains"]),
@@ -407,17 +406,17 @@ def _fit_options(config: RunConfig, threads: int) -> FitOptions:
         sgld_step0=float(inf["sgld_step0"]),
         sgld_tau=float(inf["sgld_tau"]),
         sgld_thin=int(inf["sgld_thin"]),
-        threads=threads,
     )
 
 
-def run_fit(config: RunConfig, out_dir=None, threads: int = 1):
+def run_fit(config: RunConfig, out_dir=None):
     """Fit the configured model; writes estimates, traces, posterior
     samples, and a diagnostics summary."""
     out = Path(out_dir or config.output["dir"])
-    Y, A, X = _load_fit_inputs(config)
-    model = build_model_from_config(config, A, X)
-    fit = map_fit(model, Y, _fit_options(config, threads))
+    op = build_operator(config.model["operator"])
+    Y, A, X = _load_fit_inputs(config, op.dim)
+    model = build_model_from_config(config, op, A, X)
+    fit = map_fit(model, Y, _fit_options(config))
 
     names = list(fit.param_names)
     if fit.posterior is not None:
@@ -495,14 +494,15 @@ def run_predict(config: RunConfig, fit_dir=None, out_dir=None):
     """Predictive summaries and samples at the configured targets."""
     out = Path(out_dir or config.output["dir"])
     fit_dir = Path(fit_dir or config.output["dir"])
-    Y, A, X = _load_fit_inputs(config)
-    model = build_model_from_config(config, A, X)
+    op = build_operator(config.model["operator"])
+    Y, A, X = _load_fit_inputs(config, op.dim)
+    model = build_model_from_config(config, op, A, X)
     theta = _read_estimates(fit_dir / "estimates.csv", model.param_names)
 
     targets_path = config.predict.get("targets")
     if targets_path:
         header, rows = read_table(targets_path)
-        A_star, X_star = _observation_rows(config, header, rows, targets_path)
+        A_star, X_star = _observation_rows(config, op.dim, header, rows, targets_path)
         labels = np.arange(len(rows))
     else:
         A_star, X_star, labels = model.A, model.X, np.arange(model.m)
@@ -612,7 +612,8 @@ def _parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML configuration file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="ignored; chains run in one thread (kept so old command lines parse)")
         p.add_argument("--out", default=None, help="override output directory")
     return parser
 
@@ -630,7 +631,7 @@ def main(argv=None) -> int:
             paths = run_simulate(config, out_dir=args.out)
             print(f"wrote {paths['data']} and {paths['truth']}")
         elif args.command == "fit":
-            fit, paths = run_fit(config, out_dir=args.out, threads=args.threads)
+            fit, paths = run_fit(config, out_dir=args.out)
             for key, path in paths.items():
                 print(f"wrote {path}")
             if not fit.converged:

@@ -7,6 +7,8 @@ with a Gaussian observation block (the only fittable measurement family),
 log det K entering the process block, and family-specific mixing terms
 (inverse-Gaussian or Gamma).  Gradients are derived per parameter on the
 natural scale and chain-ruled onto the unconstrained optimization scale.
+The operator supplies log det K and its gradient tr(K^-1 dK/dtheta)
+itself (``LatentOperator.logdet_grad``).
 
 The Rao-Blackwellized estimator replaces each W draw by the exact
 conditional expectation of the gradient given (V, Y): linear terms use
@@ -22,16 +24,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
-from ._linalg import (
-    OperatorLU,
-    logdet_sparse,
-    sigma_cross_quad_diag,
-    sigma_obs_quad_trace,
-    sigma_quad_diag,
-    trace_kinv_dk,
-)
+from ._linalg import sigma_cross_quad_diag, sigma_obs_quad_trace, sigma_quad_diag
 from .distributions import GAL, GAUSSIAN, NIG
-from .errors import InputError, ParameterDomainError, UnsupportedFamilyError
+from .errors import InputError, ParameterDomainError, ParameterLookupError, UnsupportedFamilyError
 from .gibbs import _w_conditional
 from .model import LatentState, Model, PriorSet
 from .transforms import jacobian_natural
@@ -109,7 +104,7 @@ def augmented_loglik(model: Model, theta, Y, state: LatentState) -> float:
     nw = mdl.noise_w
     e = mdl.op.K @ state.W - nw.mu * (state.V_W - nw.h)
     ll += -0.5 * n * np.log(2.0 * np.pi) - n * np.log(nw.sigma)
-    ll += logdet_sparse(mdl.op.K)
+    ll += mdl.op.logdet_grad()[0]
     ll -= 0.5 * np.sum(np.log(state.V_W))
     ll -= 0.5 * np.sum(e**2 / state.V_W) / nw.sigma**2
 
@@ -131,10 +126,11 @@ def _nu_grad(mdl: Model, v_w) -> float:
     )
 
 
-def _kernel_traces(mdl: Model) -> dict:
-    K = mdl.op.K
-    lu = OperatorLU(K)
-    return {name: trace_kinv_dk(K, d, lu=lu) for name, d in mdl.op.dK.items()}
+def trace_kinv_dk(op) -> dict:
+    """tr(K^-1 dK/dtheta) per kernel parameter, from the operator itself.
+
+    The traced benchmark (``perfbench/layers.py``) wraps this name."""
+    return op.logdet_grad()[1]
 
 
 def _grad_natural(mdl: Model, Y, state: LatentState, traces: dict) -> np.ndarray:
@@ -167,14 +163,17 @@ def augmented_grad(model: Model, theta, Y, state: LatentState) -> np.ndarray:
     """Gradient of log pi(Y, W, V) in theta, on the unconstrained scale."""
     mdl = _prepared(model, theta)
     _check_state(mdl, state)
-    nat = _grad_natural(mdl, Y, state, _kernel_traces(mdl))
+    nat = _grad_natural(mdl, Y, state, trace_kinv_dk(mdl.op))
     return nat * jacobian_natural(mdl.theta_natural(), mdl.transform_tags)
 
 
 def trace_term(model: Model, theta, name: str) -> float:
-    """tr(K^-1 dK/dtheta_name) via sparse solves on the nonzero columns."""
+    """tr(K^-1 dK/dtheta_name), the derivative of log|det K|."""
     mdl = model if theta is None else model.with_theta(theta)
-    return trace_kinv_dk(mdl.op.K, mdl.op.dtheta(name))
+    traces = trace_kinv_dk(mdl.op)
+    if name not in traces:
+        raise ParameterLookupError(f"{mdl.op.kind} operator has no parameter {name!r}")
+    return traces[name]
 
 
 def prior_grad(priors: PriorSet, theta_unconstrained, names=None):
@@ -201,7 +200,7 @@ def mc_gradient(
     mdl = _prepared(model, theta)
     states = _states_of(draws)
     priors = mdl.priors if priors is None else priors
-    traces = _kernel_traces(mdl)
+    traces = trace_kinv_dk(mdl.op)
     acc = np.zeros(mdl.n_params)
     for state in states:
         _check_state(mdl, state)
@@ -263,7 +262,7 @@ def rb_gradient(
     if len(v_draws) == 0:
         raise InputError("gradient estimation needs at least one draw")
     priors = mdl.priors if priors is None else priors
-    traces = _kernel_traces(mdl)
+    traces = trace_kinv_dk(mdl.op)
     acc = np.zeros(mdl.n_params)
     for j, draw in enumerate(v_draws):
         if isinstance(draw, LatentState):

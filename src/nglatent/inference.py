@@ -20,15 +20,14 @@ sample.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
-    FactorizationError,
     InputError,
+    NumericalError,
     OptimizationError,
     ParameterDomainError,
     SamplingError,
@@ -217,7 +216,6 @@ class FitOptions:
     sgld_step0: float = 2e-4
     sgld_tau: float = 200.0
     sgld_thin: int = 1
-    threads: int = 1
 
 
 @dataclass
@@ -293,7 +291,7 @@ class _ChainWorker:
         self.u = u0 + jitter
         try:
             self.gibbs = GibbsChain(model.with_theta(to_natural(self.u, tags)), Y, self.rng)
-        except (ParameterDomainError, FactorizationError) as exc:
+        except (NumericalError, ParameterDomainError) as exc:
             raise OptimizationError(f"chain initialization failed: {exc}") from exc
         self.m = np.zeros(u0.size)
         self.v = np.zeros(u0.size)
@@ -331,6 +329,8 @@ class _ChainWorker:
 
     def commit(self):
         """Push the current iterate into the Gibbs chain's model."""
+        if not np.all(np.isfinite(self.u)):
+            raise NumericalError("non-finite iterate")
         self.gibbs.set_theta(to_natural(self.u, self.tags))
 
 
@@ -386,46 +386,33 @@ def map_fit(model: Model, Y, opts: FitOptions = None) -> FitResult:
     diagnostics = {}
     t = 0
     window_iters = opts.window * opts.checkpoint_every
-    pool = ThreadPoolExecutor(opts.threads) if opts.threads > 1 else None
-    try:
-        while t < opts.max_iters:
-            t += 1
-            gamma = _map_step_size(t, opts)
-            if pool is not None:
-                list(pool.map(lambda w: w.adam_step(t, gamma), workers))
-            else:
-                for wkr in workers:
-                    wkr.adam_step(t, gamma)
-            for wkr in workers:
-                if not np.all(np.isfinite(wkr.u)):
-                    raise OptimizationError(
-                        f"non-finite iterate at iteration {t}", traces=traces
-                    )
-                try:
-                    wkr.commit()
-                except (ParameterDomainError, FactorizationError) as exc:
-                    raise OptimizationError(
-                        f"divergent trajectory at iteration {t}: {exc}", traces=traces
-                    ) from exc
-            if t % opts.checkpoint_every == 0:
-                traces.append(
-                    CheckpointTrace(
-                        iteration=t,
-                        theta=np.stack([w.u for w in workers]),
-                        grad=np.stack([w.last_grad for w in workers]),
-                        step=gamma,
-                    )
+    while t < opts.max_iters:
+        t += 1
+        gamma = _map_step_size(t, opts)
+        for wkr in workers:
+            try:
+                wkr.adam_step(t, gamma)
+                wkr.commit()
+            except (NumericalError, ParameterDomainError) as exc:
+                raise OptimizationError(
+                    f"divergent trajectory at iteration {t}: {exc}", traces=traces
+                ) from exc
+        if t % opts.checkpoint_every == 0:
+            traces.append(
+                CheckpointTrace(
+                    iteration=t,
+                    theta=np.stack([w.u for w in workers]),
+                    grad=np.stack([w.last_grad for w in workers]),
+                    step=gamma,
                 )
-                if len(traces) >= opts.window and t >= opts.min_iters:
-                    diagnostics = _evaluate_diagnostics(
-                        traces, workers, opts, fixed_mask, window_iters
-                    )
-                    if diagnostics["all_passed"]:
-                        converged = True
-                        break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            )
+            if len(traces) >= opts.window and t >= opts.min_iters:
+                diagnostics = _evaluate_diagnostics(
+                    traces, workers, opts, fixed_mask, window_iters
+                )
+                if diagnostics["all_passed"]:
+                    converged = True
+                    break
     if not diagnostics and traces:
         diagnostics = _evaluate_diagnostics(
             traces, workers, opts, fixed_mask, window_iters
@@ -436,17 +423,10 @@ def map_fit(model: Model, Y, opts: FitOptions = None) -> FitResult:
     posterior = None
     if opts.sgld_samples > 0:
         per_chain = math.ceil(opts.sgld_samples / opts.chains)
-
-        def run_block(wkr):
-            return _sgld_chain(
-                wkr, per_chain, opts.sgld_step0, opts.sgld_tau, opts.sgld_thin, tags
-            )
-
-        if opts.threads > 1:
-            with ThreadPoolExecutor(opts.threads) as sgld_pool:
-                blocks = list(sgld_pool.map(run_block, workers))
-        else:
-            blocks = [run_block(w) for w in workers]
+        blocks = [
+            _sgld_chain(w, per_chain, opts.sgld_step0, opts.sgld_tau, opts.sgld_thin, tags)
+            for w in workers
+        ]
         posterior = np.concatenate(blocks, axis=0)[: opts.sgld_samples]
 
     diagnostics["converged"] = converged
@@ -532,15 +512,11 @@ def _sgld_chain(worker: _ChainWorker, n_keep, step0, tau, thin, tags):
         for _ in range(thin):
             t += 1
             gamma = step0 * (1.0 + t / tau) ** (-0.51)
-            worker.sgld_step(gamma)
             last = to_natural(samples[s - 1], tags) if s > 0 else None
-            if not np.all(np.isfinite(worker.u)):
-                raise SamplingError(
-                    f"non-finite SGLD iterate at step {t}", last_state=last
-                )
             try:
+                worker.sgld_step(gamma)
                 worker.commit()
-            except (ParameterDomainError, FactorizationError) as exc:
+            except (NumericalError, ParameterDomainError) as exc:
                 raise SamplingError(
                     f"divergent SGLD trajectory at step {t}: {exc}", last_state=last
                 ) from exc

@@ -5,18 +5,27 @@ parameter slots on the natural scale, per-parameter derivative matrices
 dK/dtheta_i, and per-parameter transform tags.  Operators are immutable;
 ``with_params`` rebuilds a new value at updated parameters.  Kronecker
 compositions are materialized as sparse matrices.
+
+Each constructor also supplies ``logdet_grad()`` = (log|det K|,
+{name: tr(K^-1 dK/dtheta)}) from the structure it builds (Magnus &
+Neudecker, Matrix Differential Calculus, ch. 8): triangular operators read
+their diagonal, the SPD Matern operator a banded Cholesky and selected
+inverse (Rue & Held 2005, section 2.4), compositions their parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping
+from typing import Callable, Dict, Mapping, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
-from .errors import InputError, ParameterDomainError, ParameterLookupError
+from ._linalg import SpdFactor
+from .errors import FactorizationError, InputError, ParameterDomainError, ParameterLookupError
 from .mesh import Mesh1D, fem_matrices
+from .transforms import IDENTITY, LOG, STATIONARY_LOGIT
 
 __all__ = [
     "LatentOperator",
@@ -32,11 +41,6 @@ __all__ = [
     "operator_dtheta",
 ]
 
-IDENTITY = "identity"
-LOG = "log"
-STATIONARY_LOGIT = "stationary-logit"
-
-
 @dataclass(frozen=True, eq=False)
 class LatentOperator:
     """A sparse operator K with weights, parameters, and derivatives."""
@@ -48,6 +52,7 @@ class LatentOperator:
     dK: Dict[str, sparse.csr_matrix]
     transforms: Dict[str, str]
     _rebuild: Callable[[Mapping[str, float]], "LatentOperator"] = field(repr=False)
+    _logdet_grad: Callable[[], Tuple[float, Dict[str, float]]] = field(repr=False)
 
     @property
     def shape(self):
@@ -79,6 +84,11 @@ class LatentOperator:
             )
         return self.dK[name]
 
+    def logdet_grad(self) -> Tuple[float, Dict[str, float]]:
+        """log|det K| and, per parameter name, its derivative
+        tr(K^-1 dK/dtheta_name)."""
+        return self._logdet_grad()
+
 
 def operator_dtheta(op: LatentOperator, name: str) -> sparse.csr_matrix:
     """dK/dtheta_i at the operator's current parameter values."""
@@ -87,6 +97,28 @@ def operator_dtheta(op: LatentOperator, name: str) -> sparse.csr_matrix:
 
 def _as_csr(m) -> sparse.csr_matrix:
     return sparse.csr_matrix(m)
+
+
+def _triangular_logdet_grad(K, dK):
+    """A triangular K whose derivatives share its triangle has a
+    triangular inverse with diagonal 1 / K_ii."""
+    return (
+        float(np.sum(np.log(np.abs(K.diagonal())))),
+        {name: float(np.sum(d.diagonal() / K.diagonal())) for name, d in dK.items()},
+    )
+
+
+def _lu_logdet_grad(K, dK):
+    """Log-determinant and traces from one sparse LU of K (L has a unit
+    diagonal); each trace solves against a dense dK, so K must be small."""
+    try:
+        lu = splu(sparse.csc_matrix(K))
+    except RuntimeError as exc:
+        raise FactorizationError(f"operator factorization failed: {exc}") from exc
+    return (
+        float(np.sum(np.log(np.abs(lu.U.diagonal())))),
+        {name: float(np.trace(lu.solve(d.toarray()))) for name, d in dK.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +157,7 @@ def ar1_operator(phi: float, T: int) -> LatentOperator:
         dK={"phi": _as_csr(dK)},
         transforms={"phi": STATIONARY_LOGIT},
         _rebuild=build,
+        _logdet_grad=lambda: _triangular_logdet_grad(K, {"phi": dK}),
     )
 
 
@@ -154,6 +187,9 @@ def rw_operator(order: int, mesh: Mesh1D) -> LatentOperator:
     def build(params):
         return rw_operator(order, mesh)
 
+    def rectangular():
+        raise InputError("a rectangular random walk has no determinant; pin it first")
+
     return LatentOperator(
         kind=f"rw{order}",
         K=_as_csr(K),
@@ -162,6 +198,7 @@ def rw_operator(order: int, mesh: Mesh1D) -> LatentOperator:
         dK={},
         transforms={},
         _rebuild=build,
+        _logdet_grad=rectangular,
     )
 
 
@@ -180,6 +217,9 @@ def pin_operator(op: LatentOperator, node: int = 0, weight: float = 1.0) -> Late
     h = np.concatenate([op.h, [float(weight)]])
     dK = {k: sparse.vstack([d, sparse.csr_matrix((1, cols))], format="csr") for k, d in op.dK.items()}
 
+    # K is fixed for the life of the operator: factor it once
+    logdet_grad = _lu_logdet_grad(K, dK)
+
     def build(params):
         return pin_operator(op.with_params(params), node, weight)
 
@@ -191,6 +231,7 @@ def pin_operator(op: LatentOperator, node: int = 0, weight: float = 1.0) -> Late
         dK=dK,
         transforms=dict(op.transforms),
         _rebuild=build,
+        _logdet_grad=lambda: logdet_grad,
     )
 
 
@@ -226,6 +267,7 @@ def ou_operator(theta: float, mesh: Mesh1D) -> LatentOperator:
         dK={"theta": _as_csr(dK)},
         transforms={"theta": LOG},
         _rebuild=build,
+        _logdet_grad=lambda: _triangular_logdet_grad(K, {"theta": dK}),
     )
 
 
@@ -239,20 +281,26 @@ def _matern(kappa: float, mesh: Mesh1D, fm) -> LatentOperator:
     kappa = float(kappa)
     if not kappa > 0:
         raise ParameterDomainError(f"Matern requires kappa > 0, got {kappa}")
-    K = (kappa**2) * fm.C_lumped + fm.G
-    dK = 2.0 * kappa * fm.C_lumped
+    K = _as_csr((kappa**2) * fm.C_lumped + fm.G)
+    dK = _as_csr(2.0 * kappa * fm.C_lumped)
 
     def build(params):
         return _matern(params["kappa"], mesh, fm)
 
+    def logdet_grad():
+        # K is SPD and dK diagonal, so the trace needs only diag(K^-1)
+        factor = SpdFactor(K)
+        return factor.logdet(), {"kappa": float(dK.diagonal() @ factor.sigma_band(0).diagonal())}
+
     return LatentOperator(
         kind="matern",
-        K=_as_csr(K),
+        K=K,
         h=mesh.weights.copy(),
         params={"kappa": kappa},
-        dK={"kappa": _as_csr(dK)},
+        dK={"kappa": dK},
         transforms={"kappa": LOG},
         _rebuild=build,
+        _logdet_grad=logdet_grad,
     )
 
 
@@ -297,6 +345,18 @@ def tensor_operator(outer: LatentOperator, inner: LatentOperator) -> LatentOpera
             inner.with_params(_strip_prefix("inner", p)),
         )
 
+    def logdet_grad():
+        # det(K_o (x) K_i) = det(K_o)^n_i det(K_i)^n_o, and
+        # tr((K_o (x) K_i)^-1 (dK_o (x) K_i)) = n_i tr(K_o^-1 dK_o)
+        n_o, n_i = outer.dim, inner.dim
+        ld_o, tr_o = outer.logdet_grad()
+        ld_i, tr_i = inner.logdet_grad()
+        traces = {
+            **_prefixed("outer", {k: n_i * v for k, v in tr_o.items()}),
+            **_prefixed("inner", {k: n_o * v for k, v in tr_i.items()}),
+        }
+        return n_i * ld_o + n_o * ld_i, traces
+
     return LatentOperator(
         kind="tensor",
         K=K,
@@ -305,6 +365,7 @@ def tensor_operator(outer: LatentOperator, inner: LatentOperator) -> LatentOpera
         dK=dK,
         transforms=transforms,
         _rebuild=build,
+        _logdet_grad=logdet_grad,
     )
 
 
@@ -371,6 +432,19 @@ def bivariate_operator(
             p["rho"],
         )
 
+    def logdet_grad():
+        # det D = sqrt(1 + rho^2) whatever zeta, and the block-diagonal part
+        # gives each component its own determinant and traces
+        ld1, tr1 = op1.logdet_grad()
+        ld2, tr2 = op2.logdet_grad()
+        traces = {
+            **_prefixed("k1", tr1),
+            **_prefixed("k2", tr2),
+            "zeta": 0.0,
+            "rho": d * rho / (1.0 + rho**2),
+        }
+        return d * 0.5 * np.log1p(rho**2) + ld1 + ld2, traces
+
     return LatentOperator(
         kind="bivariate",
         K=K,
@@ -379,6 +453,7 @@ def bivariate_operator(
         dK=dK,
         transforms=transforms,
         _rebuild=build,
+        _logdet_grad=logdet_grad,
     )
 
 
@@ -398,6 +473,10 @@ def replicate_operator(op: LatentOperator, R: int) -> LatentOperator:
     def build(p):
         return replicate_operator(op.with_params(p), R)
 
+    def logdet_grad():
+        ld, traces = op.logdet_grad()
+        return R * ld, {k: R * v for k, v in traces.items()}
+
     return LatentOperator(
         kind="replicate",
         K=K,
@@ -406,6 +485,7 @@ def replicate_operator(op: LatentOperator, R: int) -> LatentOperator:
         dK=dK,
         transforms=dict(op.transforms),
         _rebuild=build,
+        _logdet_grad=logdet_grad,
     )
 
 
@@ -440,17 +520,22 @@ def _advdiff(kappa, gamma, c, mesh: Mesh1D, T, fm) -> LatentOperator:
     sub = sparse.diags([np.ones(T - 1)], offsets=[-1], format="csr")
     K = sparse.kron(eye, K_tt, format="csr") + sparse.kron(sub, K_sub, format="csr")
     h = np.tile(mesh.weights, T)
-    dK = {
-        "kappa": sparse.kron(eye, (2.0 * kappa / rc) * C, format="csr"),
-        "gamma": sparse.kron(eye, B_unit / rc, format="csr"),
-        "c": (
-            sparse.kron(eye, C / (2.0 * rc) - L / (2.0 * c * rc), format="csr")
-            + sparse.kron(sub, -C / (2.0 * rc), format="csr")
-        ),
+    dK_tt = {
+        "kappa": (2.0 * kappa / rc) * C,
+        "gamma": B_unit / rc,
+        "c": C / (2.0 * rc) - L / (2.0 * c * rc),
     }
+    dK = {k: sparse.kron(eye, v, format="csr") for k, v in dK_tt.items()}
+    dK["c"] = dK["c"] + sparse.kron(sub, -C / (2.0 * rc), format="csr")
 
     def build(p):
         return _advdiff(p["kappa"], p["gamma"], p["c"], mesh, T, fm)
+
+    def logdet_grad():
+        # K and K^-1 are block lower triangular with diagonal blocks K_tt and
+        # K_tt^-1, so the sub-diagonal blocks of dK drop out of the traces
+        ld, traces = _lu_logdet_grad(K_tt, dK_tt)
+        return T * ld, {k: T * v for k, v in traces.items()}
 
     return LatentOperator(
         kind="advdiff",
@@ -460,4 +545,5 @@ def _advdiff(kappa, gamma, c, mesh: Mesh1D, T, fm) -> LatentOperator:
         dK={k: _as_csr(v) for k, v in dK.items()},
         transforms={"kappa": LOG, "gamma": IDENTITY, "c": LOG},
         _rebuild=build,
+        _logdet_grad=logdet_grad,
     )

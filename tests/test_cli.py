@@ -153,7 +153,7 @@ class TestFit:
         write_table(cfg.data["path"], header, rows)
         from nglatent.cli import _load_fit_inputs
 
-        Y, A, X = _load_fit_inputs(cfg)
+        Y, A, X = _load_fit_inputs(cfg, n_latent=10)
         assert Y.size == 8
         assert A.shape == (8, 10)
 
@@ -334,6 +334,26 @@ class TestMainEntry:
         path2 = write_config(tmp_path, cfg_raw, "config2.yaml")
         assert main(["score", "--config", str(path2)]) == 0
         assert main(["diagnose", "--config", str(path)]) == 0
+
+    def test_one_operator_build_per_command(self, tmp_path, monkeypatch):
+        import nglatent.cli as cli
+
+        build, calls = cli.build_operator, []
+
+        def counted(cfg, ctx="model.operator"):
+            calls.append(ctx)
+            return build(cfg, ctx)
+
+        monkeypatch.setattr(cli, "build_operator", counted)
+        raw = base_config(tmp_path, n=20, max_iters=10)
+        write_table(tmp_path / "targets.csv", ["index"], [[0], [5]])
+        raw["predict"] = {"targets": str(tmp_path / "targets.csv"), "samples": 20, "burnin": 5}
+        path = write_config(tmp_path, raw)
+        for command in ("simulate", "fit", "predict"):
+            calls.clear()
+            code = main([command, "--config", str(path), "--out", str(tmp_path)])
+            assert code in (0, EXIT_NONCONVERGED)
+            assert calls == ["model.operator"], command
 
     def test_seed_override_changes_output(self, tmp_path):
         raw = base_config(tmp_path, n=20)

@@ -160,12 +160,6 @@ class TestTraceTerm:
         dense = np.trace(np.linalg.solve(K, dK))
         assert trace_term(model, None, "phi") == pytest.approx(dense, abs=1e-10)
 
-    def test_zero_derivative_gives_zero(self):
-        from nglatent._linalg import trace_kinv_dk
-
-        K = ar1_operator(0.5, 6).K
-        assert trace_kinv_dk(K, sparse.csr_matrix((6, 6))) == 0.0
-
     def test_matern_closed_form(self):
         mesh = build_interval_mesh(np.linspace(0, 3, 12))
         model = make_model("gaussian", op=matern_operator(1.5, mesh))

@@ -20,7 +20,12 @@ from nglatent.inference import (
 )
 from nglatent.model import assemble_model, flat_priors, simulate
 from nglatent.mesh import build_interval_mesh
-from nglatent.operators import ar1_operator, bivariate_operator, matern_operator
+from nglatent.operators import (
+    ar1_operator,
+    bivariate_operator,
+    matern_operator,
+    tensor_operator,
+)
 from nglatent.transforms import jacobian_natural, to_natural, to_unconstrained
 
 TAGS = ("log", "log", "stationary-logit")
@@ -311,14 +316,25 @@ class TestMapFit:
         assert fit.n_iters == 5
         assert np.all(np.isfinite(fit.theta_map))
 
-    def test_large_bivariate_fit(self):
-        # n = 4200: coupled nodes i and i + 2100 give Q a natural bandwidth
-        # of 2102; the band order narrows it to 5, so the RB gradient runs
-        # on the banded path at a size the dense inverse never reached
-        mesh = build_interval_mesh(np.linspace(0.0, 100.0, 2100))
-        op = bivariate_operator(
-            matern_operator(0.5, mesh), matern_operator(1.0, mesh), zeta=2.5, rho=0.5
-        )
+    @pytest.mark.parametrize(
+        "make_op, max_bandwidth",
+        [
+            pytest.param(lambda: large_bivariate(2100), 8, id="bivariate-d2100"),
+            pytest.param(lambda: large_bivariate(5000), 8, id="bivariate-d5000"),
+            pytest.param(
+                lambda: tensor_operator(
+                    ar1_operator(0.5, 1000),
+                    matern_operator(1.0, build_interval_mesh(np.linspace(0.0, 10.0, 10))),
+                ),
+                12,
+                id="tensor-ar1x1000-matern10",
+            ),
+        ],
+    )
+    def test_large_fit(self, make_op, max_bandwidth):
+        # n = 4200 to 10^4: each operator's own log-det gradient and the
+        # banded path keep a few RB iterations cheap at these sizes
+        op = make_op()
         model = assemble_model(
             A=sparse.identity(op.dim, format="csr"),
             X=np.zeros((op.dim, 0)),
@@ -326,12 +342,29 @@ class TestMapFit:
             noise_w=NoiseSpec("nig", sigma=1.0, mu=0.5, nu=1.0),
             noise_y=NoiseSpec("gaussian", sigma=0.2),
         )
-        assert model.plan.bandwidth <= 8
+        assert model.plan.bandwidth <= max_bandwidth
         Y, _ = simulate(model, rng=np.random.default_rng(5))
         fit = map_fit(model, Y, FitOptions(chains=2, max_iters=3, min_iters=3, k=1, seed=1))
         assert fit.n_iters == 3
         assert all(np.all(np.isfinite(t.theta)) for t in fit.traces)
         assert np.all(np.isfinite(fit.theta_map))
+
+    def test_failure_inside_a_step_is_an_optimization_error(self):
+        # at kappa = 1e-8 the Matern K = kappa^2 C + G is numerically
+        # singular, so the first gradient's Cholesky of K fails
+        mesh = build_interval_mesh(np.linspace(0.0, 10.0, 20))
+        model = assemble_model(
+            A=sparse.identity(20, format="csr"),
+            X=np.zeros((20, 0)),
+            op=matern_operator(1e-8, mesh),
+            noise_w=NoiseSpec("gaussian", sigma=1.0),
+            noise_y=NoiseSpec("gaussian", sigma=0.5),
+        )
+        Y = np.random.default_rng(4).standard_normal(20)
+        with pytest.raises(OptimizationError) as ei:
+            map_fit(model, Y, FitOptions(chains=1, max_iters=5, min_iters=5, jitter=0.0, seed=1))
+        assert isinstance(ei.value.__cause__, FactorizationError)
+        assert ei.value.traces is not None
 
     @pytest.mark.parametrize("error", [ParameterDomainError, FactorizationError])
     def test_chain_start_failure_is_an_optimization_error(self, monkeypatch, error):
@@ -344,6 +377,15 @@ class TestMapFit:
         model = conjugate_toy()
         with pytest.raises(OptimizationError, match="bad start"):
             map_fit(model, np.zeros(model.m), FitOptions(chains=1, max_iters=3))
+
+
+def large_bivariate(d):
+    # coupled nodes i and i + d give Q a natural bandwidth of d + 2; the
+    # band order narrows it to 5
+    mesh = build_interval_mesh(np.linspace(0.0, d / 21.0, d))
+    return bivariate_operator(
+        matern_operator(0.5, mesh), matern_operator(1.0, mesh), zeta=2.5, rho=0.5
+    )
 
 
 def conjugate_toy(n=4, sigma=1.0, sigma_eps=0.5):

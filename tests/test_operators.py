@@ -368,6 +368,11 @@ class TestOperatorDtheta:
         ar1_operator(0.8, 20),
         ou_operator(0.9, build_interval_mesh(np.linspace(0, 4, 20))),
         matern_operator(1.4, build_interval_mesh(np.linspace(0, 4, 20))),
+        # cond(K) = 1e6: kappa^2 C is tiny next to G
+        pytest.param(
+            matern_operator(0.02, build_interval_mesh(np.linspace(0, 4, 41))),
+            id="matern-kappa0.02",
+        ),
         tensor_operator(ar1_operator(0.5, 4), matern_operator(1.0, build_interval_mesh(np.linspace(0, 2, 5)))),
         bivariate_operator(
             matern_operator(1.0, build_interval_mesh(np.linspace(0, 2, 10))),
@@ -387,6 +392,14 @@ class TestSquareOperatorInvariants:
         np.linalg.cholesky(gram)  # raises if not positive definite
         _, dense_logdet = np.linalg.slogdet(op.K.toarray())
         assert splu_logdet(op.K) == pytest.approx(dense_logdet, rel=1e-8)
+        # the operator's own log-det and its gradient tr(K^-1 dK)
+        logdet, traces = op.logdet_grad()
+        dense_traces = {
+            name: np.trace(np.linalg.solve(op.K.toarray(), d.toarray()))
+            for name, d in op.dK.items()
+        }
+        assert logdet == pytest.approx(dense_logdet, rel=1e-10, abs=1e-10)
+        assert traces == pytest.approx(dense_traces, rel=1e-10, abs=1e-10)
 
     def test_dK_pattern_within_K(self, op):
         rows_k, cols_k = op.K.nonzero()
