@@ -15,12 +15,17 @@ is that of K'K + A'A, which does not depend on the parameters, so a
 Each draw then assembles Q's band with one ``bincount`` over the pairs
 and factors it with a banded Cholesky Q = U'U; every model takes this
 one path.  The covariance band comes from a selected inverse
-(Takahashi, Fagan & Chin 1973; Rue & Held 2005, section 2.4) run
-backwards over blocks of b >= bandwidth rows: U is then block upper
-bidiagonal, the requested band of Sigma = Q^-1 lies inside its block
-tridiagonal part, and each block costs a few dense b x b LAPACK/BLAS
-calls, O(n b^2) in all.  The quadratic forms of the Rao-Blackwellized
-gradient contract the same row pairs with that band.
+(Takahashi, Fagan & Chin 1973; Rue & Held 2005, section 2.4).  When Q
+has bandwidth <= 1 (AR1, OU, a pinned first-order random walk) U is
+bidiagonal and the band has a closed form: an affine recurrence for the
+diagonal, run as a suffix scan in ceil(log2 n) vector steps (Blelloch
+1990), then one vector step per further diagonal.  Wider factors run
+the recursion backwards over blocks of b >= bandwidth rows: U is then
+block upper bidiagonal, the requested band of Sigma = Q^-1 lies inside
+its block tridiagonal part, and each block costs a few dense b x b
+LAPACK/BLAS calls, O(n b^2) in all.  The quadratic forms of the
+Rao-Blackwellized gradient contract the same row pairs with that band,
+for the bands of all k draws of a gradient at once.
 
 The log-determinant of the operator K and its gradient are not computed
 here: each operator supplies them from its own structure
@@ -92,21 +97,32 @@ def _row_pairs(M1, M2):
 
 class RowPairs:
     """The products M1[r, i] M2[r, j] of stored entries sharing a row r,
-    with the place of Sigma[i, j] in a band-order covariance band:
-    ``lo`` the smaller band position of i and j, ``d`` their distance."""
+    with the place of Sigma[i, j] in a band-order covariance band: ``d``
+    the distance of i and j in band order, and ``flat`` the index of
+    S[d, min] in the flattened band S (shape (width + 1, n))."""
 
     def __init__(self, M1, M2, position: np.ndarray):
         self.rows = M1.shape[0]
         self.row, self.a, self.b = _row_pairs(M1, M2)
         self.pi = position[M1.indices[self.a]]
         self.pj = position[M2.indices[self.b]]
-        self.lo = np.minimum(self.pi, self.pj)
         self.d = np.abs(self.pi - self.pj)
+        self.flat = self.d * position.size + np.minimum(self.pi, self.pj)
+        # the pairs of a row are contiguous, rows in order; rows with no
+        # pair sum to zero
+        count = np.bincount(self.row, minlength=self.rows)
+        self._filled = count > 0
+        self._starts = (np.cumsum(count) - count)[self._filled]
 
     def row_sums(self, M1, M2, sig: "BandedSigma") -> np.ndarray:
-        """Vector over rows r of M1[r, :] Sigma M2[r, :]'."""
-        w = M1.data[self.a] * M2.data[self.b] * sig.S[self.d, self.lo]
-        return np.bincount(self.row, weights=w, minlength=self.rows)
+        """Vector over rows r of M1[r, :] Sigma M2[r, :]', one row per band
+        of a stacked ``sig``."""
+        S = sig.S.reshape(sig.S.shape[:-2] + (-1,))
+        coef = np.take(M1.data, self.a) * np.take(M2.data, self.b)
+        w = coef * np.take(S, self.flat, axis=-1)
+        sums = np.zeros(w.shape[:-1] + (self.rows,))
+        sums[..., self._filled] = np.add.reduceat(w, self._starts, axis=-1)
+        return sums
 
 
 def _structure(M) -> sparse.csr_matrix:
@@ -253,12 +269,24 @@ class SpdFactor:
         """Entries of Q^-1 within ``width`` positions of the diagonal, in
         band order.
 
-        Banded factors run the selected inverse backwards over blocks of
-        b = max(width, bandwidth, MIN_BLOCK) rows, so that the factor U
-        (Q = U'U) is block upper bidiagonal and the band of each block
-        row lies in its own and the next block.  With U_II and
-        U_I,I+1 the diagonal and coupling blocks of the Cholesky factor
-        and Uinv = U_II^-1, each block takes, from Sigma_I+1,I+1,
+        The path follows the factor's bandwidth.  With U = U(d, e) the
+        Cholesky factor (Q = U'U), its diagonal d and superdiagonal e and
+        r_i = e_i / d_i, a bidiagonal U gives Sigma in closed form:
+
+            Sigma_ii    = 1/d_i^2 + r_i^2 Sigma_i+1,i+1
+            Sigma_i,i+d = -r_i Sigma_i+1,i+d          (d >= 1)
+
+        The first line is an affine recurrence, run as a suffix scan in
+        ceil(log2 n) vector steps (every term is positive, so no
+        cancellation); each further line is one vector step.  A diagonal
+        U (bandwidth 0) gives Sigma_ii = 1/d_i^2.
+
+        Wider factors run the selected inverse backwards over blocks of
+        b = max(width, bandwidth, MIN_BLOCK) rows, so that U is block
+        upper bidiagonal and the band of each block row lies in its own
+        and the next block.  With U_II and U_I,I+1 the diagonal and
+        coupling blocks and Uinv = U_II^-1, each block takes, from
+        Sigma_I+1,I+1,
 
             X            = U_I,I+1' Uinv'
             Sigma_I+1,I  = -Sigma_I+1,I+1 X
@@ -271,6 +299,8 @@ class SpdFactor:
         """
         w, n = self.bandwidth, self.n
         width = max(width, w)
+        if w <= 1:
+            return BandedSigma(self._sigma_bidiagonal(width), self.order)
         b = max(width, MIN_BLOCK)
         # R[d, i] = U[i, i+d] from the upper 'ab' storage cb[w-d, i+d]
         R = np.zeros((w + 1, n))
@@ -300,17 +330,44 @@ class SpdFactor:
             sig_next = sig
         return BandedSigma(S, self.order)
 
+    def _sigma_bidiagonal(self, width: int) -> np.ndarray:
+        """The band S[d, i] = Sigma[i, i+d] of a factor of bandwidth <= 1."""
+        n = self.n
+        d = self._cb[-1]
+        S = np.zeros((width + 1, n))
+        a = 1.0 / d**2
+        if self.bandwidth == 0:
+            S[0] = a
+            return S
+        r = self._cb[0, 1:] / d[:-1]
+        # before the step of shift s, Sigma_ii = a_i + c_i Sigma_i+s,i+s,
+        # with Sigma zero past the last row; each step doubles s
+        c = np.zeros(n)
+        c[:-1] = r**2
+        s = 1
+        while s < n:
+            a[:-s] += c[:-s] * a[s:]
+            c[:-s] *= c[s:]
+            s *= 2
+        S[0] = a
+        for k in range(1, min(width, n - 1) + 1):
+            S[k, : n - k] = -r[: n - k] * S[k - 1, 1 : n - k + 1]
+        return S
+
 
 class BandedSigma:
     """Covariance entries within a band, held in a band order:
     S[d, k] = Sigma[order[k], order[k + d]].  ``entries`` and ``diagonal``
-    take and return natural indices."""
+    take and return natural indices of one band.  The quadratic forms also
+    take the bands of several covariances in the same order stacked along
+    a leading axis, S of shape (k, width + 1, n), and return one row per
+    band."""
 
     def __init__(self, S: np.ndarray, order: np.ndarray):
         self.S = S
         self.order = order
-        self.width = S.shape[0] - 1
-        self.n = S.shape[1]
+        self.width = S.shape[-2] - 1
+        self.n = S.shape[-1]
 
     def entries(self, rows, cols):
         position = _inverse(self.order)
@@ -327,15 +384,18 @@ class BandedSigma:
 
 
 def sigma_cross_quad_diag(sig: BandedSigma, P, K, pairs: RowPairs) -> np.ndarray:
-    """Vector of P_i. Sigma K_i.' over rows i, from the row pairs of P and K."""
+    """Vector of P_i. Sigma K_i.' over rows i, from the row pairs of P and K;
+    one row per band of a stacked ``sig``."""
     return pairs.row_sums(P, K, sig)
 
 
 def sigma_quad_diag(sig: BandedSigma, K, pairs: RowPairs) -> np.ndarray:
-    """diag(K Sigma K') from the row pairs of K with itself."""
+    """diag(K Sigma K') from the row pairs of K with itself; one row per
+    band of a stacked ``sig``."""
     return pairs.row_sums(K, K, sig)
 
 
-def sigma_obs_quad_trace(sig: BandedSigma, A, pairs: RowPairs) -> float:
-    """tr(A Sigma A') from the row pairs of A with itself."""
-    return float(pairs.row_sums(A, A, sig).sum())
+def sigma_obs_quad_trace(sig: BandedSigma, A, pairs: RowPairs):
+    """tr(A Sigma A') from the row pairs of A with itself; one value per
+    band of a stacked ``sig``."""
+    return pairs.row_sums(A, A, sig).sum(axis=-1)

@@ -457,13 +457,25 @@ def _write_diagnostics(out, fit, names):
         "iterations": int(fit.n_iters),
         "S_T": None if d.get("S_T") is None else float(d.get("S_T", np.nan)),
     }
-    if d.get("rhat") is not None:
-        summary["rhat"] = {n: float(v) for n, v in zip(names, d["rhat"])}
+    summary.update(_rhat_drift_summary(names, d.get("rhat"), d.get("drift")))
+    if d.get("grad_corr") is not None:
+        summary["grad_corr"] = [float(v) for v in d["grad_corr"]]
+    path = Path(out) / "diagnostics.yaml"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(yaml.safe_dump(summary, sort_keys=True))
+    return path
+
+
+def _rhat_drift_summary(names, rhat_values, drift) -> dict:
+    """The R-hat and drift entries of a diagnostics summary; ``None`` for
+    a diagnostic the trace is too short or has too few chains for."""
+    out = {}
+    if rhat_values is not None:
+        out["rhat"] = {n: float(v) for n, v in zip(names, rhat_values)}
     else:
-        summary["rhat"] = "unavailable (needs >= 2 chains)"
-    if d.get("drift") is not None:
-        drift = d["drift"]
-        summary["drift"] = {
+        out["rhat"] = "unavailable (needs >= 2 chains)"
+    if drift is not None:
+        out["drift"] = {
             n: {
                 "slope": float(drift.slope[j]),
                 "rel_var": float(drift.rel_var[j]),
@@ -471,12 +483,7 @@ def _write_diagnostics(out, fit, names):
             }
             for j, n in enumerate(names)
         }
-    if d.get("grad_corr") is not None:
-        summary["grad_corr"] = [float(v) for v in d["grad_corr"]]
-    path = Path(out) / "diagnostics.yaml"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(yaml.safe_dump(summary, sort_keys=True))
-    return path
+    return out
 
 
 def _read_estimates(path, param_names):
@@ -578,21 +585,9 @@ def run_diagnose(config: RunConfig, fit_dir=None):
         grads[c, t] = [float(v) for v in row[3 + p : 3 + 2 * p]]
     window = min(int(config.inference["window"]), len(iters))
     summary = {"checkpoints": len(iters), "chains": len(chains)}
-    if len(chains) >= 2 and window >= 2:
-        rr = rhat(theta, window)
-        summary["rhat"] = {n: float(v) for n, v in zip(param_names, rr.values)}
-    else:
-        summary["rhat"] = "unavailable (needs >= 2 chains)"
-    if window >= 3:
-        drift = drift_check(theta, window)
-        summary["drift"] = {
-            n: {
-                "slope": float(drift.slope[j]),
-                "rel_var": float(drift.rel_var[j]),
-                "passed": bool(drift.passed[j]),
-            }
-            for j, n in enumerate(param_names)
-        }
+    rhat_values = rhat(theta, window).values if len(chains) >= 2 and window >= 2 else None
+    drift = drift_check(theta, window) if window >= 3 else None
+    summary.update(_rhat_drift_summary(param_names, rhat_values, drift))
     summary["S_T"] = float(np.mean([grad_inner_stat(grads[c]) for c in range(len(chains))]))
     return summary
 

@@ -10,7 +10,7 @@ block V_W, then the measurement block V_Y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy import sparse

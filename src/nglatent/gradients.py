@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
-from ._linalg import sigma_cross_quad_diag, sigma_obs_quad_trace, sigma_quad_diag
-from .distributions import GAL, GAUSSIAN, NIG
+from ._linalg import BandedSigma, sigma_cross_quad_diag, sigma_obs_quad_trace, sigma_quad_diag
+from .distributions import GAUSSIAN, NIG
 from .errors import InputError, ParameterDomainError, ParameterLookupError, UnsupportedFamilyError
 from .gibbs import _w_conditional
 from .model import LatentState, Model, PriorSet
@@ -112,18 +112,15 @@ def augmented_loglik(model: Model, theta, Y, state: LatentState) -> float:
     return float(ll)
 
 
-def _nu_grad(mdl: Model, v_w) -> float:
+def _nu_grad(mdl: Model, v_w):
+    """d/dnu of log pi(V): a float, or one value per row of a (k, n) ``v_w``."""
     nw = mdl.noise_w
     h = nw.h
     if nw.family == NIG:
-        return float(
-            np.sum(-(h**2) / (2.0 * v_w) - 0.5 * v_w + 0.5 / nw.nu + h)
-        )
-    return float(
-        np.sum(
-            h - v_w + h * np.log(v_w) + h * np.log(nw.nu) - h * special.psi(h * nw.nu)
-        )
-    )
+        terms = -(h**2) / (2.0 * v_w) - 0.5 * v_w + 0.5 / nw.nu + h
+    else:
+        terms = h - v_w + h * np.log(v_w) + h * np.log(nw.nu) - h * special.psi(h * nw.nu)
+    return np.sum(terms, axis=-1)
 
 
 def trace_kinv_dk(op) -> dict:
@@ -212,40 +209,41 @@ def mc_gradient(
     return GradientReport(g=g - pg, k=len(states), estimator="MC")
 
 
-def _rb_grad_natural(mdl: Model, Y, v_w, v_y, traces: dict, cond=None) -> np.ndarray:
-    mu, factor = cond if cond is not None else _w_conditional(mdl, v_w, v_y, Y)
+def _rb_grad_natural(mdl: Model, Y, v_w, v_y, traces: dict, conds) -> np.ndarray:
+    """Rows of the Rao-Blackwellized gradient, natural scale, one per draw:
+    ``v_w`` (k, n) and ``v_y`` (k, m) hold the k mixing draws and ``conds``
+    the k conditionals (mean, factor) of W | V, Y at them."""
+    mu = np.stack([m for m, _ in conds])
     plan = mdl.plan
-    sig_view = factor.sigma_band(plan.width)
+    sig_view = BandedSigma(
+        np.stack([factor.sigma_band(plan.width).S for _, factor in conds]), plan.order
+    )
     nw = mdl.noise_w
     K = mdl.op.K
 
-    r_bar = Y - mdl.X @ mdl.beta - mdl.A @ mu
+    r_bar = Y - mdl.X @ mdl.beta - (mdl.A @ mu.T).T
     tr_obs = sigma_obs_quad_trace(sig_view, mdl.A, plan.aa)
     sig_eps = mdl.noise_y.sigma
-    parts = [mdl.X.T @ r_bar / sig_eps**2]
-    parts.append(
-        [-mdl.m / sig_eps + (np.sum(r_bar**2) + tr_obs) / sig_eps**3]
-    )
+    parts = [r_bar @ mdl.X / sig_eps**2]
+    parts.append(-mdl.m / sig_eps + (np.sum(r_bar**2, axis=1) + tr_obs) / sig_eps**3)
 
-    e_bar = K @ mu - nw.mu * (v_w - nw.h)
+    e_bar = (K @ mu.T).T - nw.mu * (v_w - nw.h)
     quad_k = sigma_quad_diag(sig_view, K, plan.kk)
     sig = nw.sigma
+    g_sigma = -mdl.n / sig + np.sum((e_bar**2 + quad_k) / v_w, axis=1) / sig**3
     if nw.family != GAUSSIAN:
-        g_mu = np.sum(e_bar * (v_w - nw.h) / v_w) / sig**2
-        g_sigma = -mdl.n / sig + np.sum((e_bar**2 + quad_k) / v_w) / sig**3
-        parts.append([g_mu, g_sigma, _nu_grad(mdl, v_w)])
+        g_mu = np.sum(e_bar * (v_w - nw.h) / v_w, axis=1) / sig**2
+        parts += [g_mu, g_sigma, _nu_grad(mdl, v_w)]
     else:
-        parts.append([-mdl.n / sig + np.sum((e_bar**2 + quad_k) / v_w) / sig**3])
+        parts.append(g_sigma)
 
     ev = e_bar / v_w
-    kernel = []
     for name in mdl.op.params:
         dK = mdl.op.dK[name]
         cross = sigma_cross_quad_diag(sig_view, dK, K, plan.dk[name])
-        quad = (dK @ mu) @ ev + np.sum(cross / v_w)
-        kernel.append(traces[name] - quad / sig**2)
-    parts.append(kernel)
-    return np.concatenate([np.atleast_1d(np.asarray(p, dtype=float)) for p in parts])
+        quad = np.sum((dK @ mu.T).T * ev + cross / v_w, axis=1)
+        parts.append(traces[name] - quad / sig**2)
+    return np.column_stack(parts)
 
 
 def rb_gradient(
@@ -256,26 +254,23 @@ def rb_gradient(
     For each V draw the conditional expectation of the augmented gradient
     over W | V, Y is computed in closed form (conditional mean plus
     covariance traces), then averaged, negated, and combined with the
-    prior gradient.
+    prior gradient.  The k draws go through one pass over stacked (k, n)
+    arrays; ``_conds`` passes the W | V, Y conditionals already computed
+    at them.
     """
     mdl = _prepared(model, theta)
     if len(v_draws) == 0:
         raise InputError("gradient estimation needs at least one draw")
     priors = mdl.priors if priors is None else priors
     traces = trace_kinv_dk(mdl.op)
-    acc = np.zeros(mdl.n_params)
-    for j, draw in enumerate(v_draws):
-        if isinstance(draw, LatentState):
-            v_w, v_y = draw.V_W, draw.V_Y
-        else:
-            v_w, v_y = draw
-        v_w = np.asarray(v_w, dtype=float)
-        v_y = np.asarray(v_y, dtype=float)
-        if np.any(v_w <= 0) or np.any(v_y <= 0):
-            raise ParameterDomainError("mixing variables must be strictly positive")
-        cond = _conds[j] if _conds is not None else None
-        acc += _rb_grad_natural(mdl, Y, v_w, v_y, traces, cond=cond)
-    nat = acc / len(v_draws)
+    draws = [(d.V_W, d.V_Y) if isinstance(d, LatentState) else d for d in v_draws]
+    v_w = np.array([w for w, _ in draws], dtype=float)
+    v_y = np.array([y for _, y in draws], dtype=float)
+    if np.any(v_w <= 0) or np.any(v_y <= 0):
+        raise ParameterDomainError("mixing variables must be strictly positive")
+    if _conds is None:
+        _conds = [_w_conditional(mdl, a, b, Y) for a, b in zip(v_w, v_y)]
+    nat = _rb_grad_natural(mdl, Y, v_w, v_y, traces, _conds).mean(axis=0)
     g = -nat * jacobian_natural(mdl.theta_natural(), mdl.transform_tags)
     _, pg = prior_grad(priors, mdl.theta_unconstrained(), mdl.param_names)
     return GradientReport(g=g - pg, k=len(v_draws), estimator="RB")

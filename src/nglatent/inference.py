@@ -35,7 +35,7 @@ from .errors import (
 from .gibbs import GibbsChain
 from .gradients import mc_gradient, rb_gradient
 from .model import Model
-from .transforms import jacobian_natural, to_natural, to_unconstrained
+from .transforms import to_natural, to_unconstrained
 
 __all__ = [
     "FitOptions",
@@ -521,14 +521,7 @@ def _sgld_chain(worker: _ChainWorker, n_keep, step0, tau, thin, tags):
                     f"divergent SGLD trajectory at step {t}: {exc}", last_state=last
                 ) from exc
         samples[s] = worker.u
-    return to_natural_rows(samples, tags)
-
-
-def to_natural_rows(rows: np.ndarray, tags) -> np.ndarray:
-    out = np.empty_like(rows)
-    for i in range(rows.shape[0]):
-        out[i] = to_natural(rows[i], tags)
-    return out
+    return to_natural(samples.T, tags).T
 
 
 def sgld_sample(model: Model, Y, theta0, opts: SgldOptions = None) -> np.ndarray:

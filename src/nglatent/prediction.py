@@ -15,7 +15,6 @@ additive log term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import sparse

@@ -46,7 +46,8 @@ def to_unconstrained(theta_natural, tags):
 
 
 def to_natural(theta_unconstrained, tags):
-    """Inverse of :func:`to_unconstrained`."""
+    """Inverse of :func:`to_unconstrained`.  Row i holds parameter i, so a
+    (params, draws) array maps every draw at once."""
     _check_tags(tags)
     u = np.asarray(theta_unconstrained, dtype=float)
     out = np.empty_like(u)

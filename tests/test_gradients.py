@@ -4,7 +4,7 @@ from scipy import sparse, special, stats
 
 from nglatent.distributions import NoiseSpec, gig_logpdf, GigParams
 from nglatent.errors import InputError, ParameterDomainError, UnsupportedFamilyError
-from nglatent.gibbs import gibbs_run, sample_w
+from nglatent.gibbs import GibbsChain, gibbs_run, sample_w
 from nglatent.gradients import (
     augmented_grad,
     augmented_loglik,
@@ -21,7 +21,13 @@ from nglatent.model import (
     flat_priors,
     simulate,
 )
-from nglatent.operators import ar1_operator, bivariate_operator, matern_operator, ou_operator
+from nglatent.operators import (
+    ar1_operator,
+    bivariate_operator,
+    matern_operator,
+    ou_operator,
+    tensor_operator,
+)
 from nglatent.mesh import build_interval_mesh
 from nglatent.transforms import jacobian_natural, to_natural, to_unconstrained
 
@@ -338,8 +344,6 @@ class TestRbGradient:
         model = make_model("nig", n=10)
         rng = np.random.default_rng(9)
         Y, _ = simulate(model, rng=rng)
-        from nglatent.gibbs import GibbsChain
-
         chain = GibbsChain(model, Y, rng)
         chain.sweep(100)
         reps = 120
@@ -366,6 +370,40 @@ class TestRbGradient:
             g = rb_gradient(model, None, Y, [v]).g
             ref = dense_rb_gradient(model, Y, *v)
             assert np.allclose(g, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("kind", ["nig-ar1", "tensor", "bivariate"])
+    def test_stacked_draws_match_dense_oracle(self, kind):
+        # k = 5 draws in one pass, with the conditionals of the sweep that
+        # drew them, against the dense per-draw oracle averaged over draws
+        model = stacked_gradient_model(kind)
+        rng = np.random.default_rng(11)
+        Y, _ = simulate(model, rng=rng)
+        chain = GibbsChain(model, Y, rng)
+        chain.sweep(20)
+        states, conds = chain.sweep(5, with_conditionals=True)
+        g = rb_gradient(model, None, Y, states, _conds=conds).g
+        ref = np.mean([dense_rb_gradient(model, Y, s.V_W, s.V_Y) for s in states], axis=0)
+        assert np.allclose(g, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+
+
+def stacked_gradient_model(kind):
+    """NIG-AR1 (Q bandwidth 1, the closed-form covariance band); an
+    AR1 x Matern tensor with covariates (bandwidth above 1, the blocked
+    selected inverse); a bivariate model in a reordered band order."""
+    if kind == "nig-ar1":
+        return make_model("nig", n=40, mu=1.0)
+    mesh = build_interval_mesh(np.linspace(0.0, 4.0, 9))
+    if kind == "tensor":
+        op = tensor_operator(ar1_operator(0.6, 4), matern_operator(1.2, mesh))
+        X = np.column_stack([np.ones(op.dim), np.linspace(-1.0, 1.0, op.dim)])
+        model = make_model("nig", op=op, mu=0.5, sigma=1.0, nu=1.0, sigma_eps=0.3,
+                           X=X, beta=np.array([0.2, -0.4]))
+        assert model.plan.bandwidth >= 2
+        return model
+    op = bivariate_operator(matern_operator(0.8, mesh), matern_operator(1.6, mesh), 2.5, 0.5)
+    model = make_model("nig", op=op, mu=0.5, sigma=1.0, nu=1.0, sigma_eps=0.3)
+    assert not np.array_equal(model.plan.order, np.arange(model.n))
+    return model
 
 
 def dense_rb_gradient(model, Y, v_w, v_y):

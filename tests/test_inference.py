@@ -8,7 +8,9 @@ from nglatent.errors import (
     InputError,
     OptimizationError,
     ParameterDomainError,
+    SamplingError,
 )
+from nglatent.gibbs import V_FLOOR, GibbsChain
 from nglatent.inference import (
     FitOptions,
     SgldOptions,
@@ -365,6 +367,51 @@ class TestMapFit:
             map_fit(model, Y, FitOptions(chains=1, max_iters=5, min_iters=5, jitter=0.0, seed=1))
         assert isinstance(ei.value.__cause__, FactorizationError)
         assert ei.value.traces is not None
+
+    @pytest.mark.parametrize("start", ["phi=0.999999", "phi=-0.999999", "nu=1e-8", "V=V_FLOOR"])
+    def test_edge_start_ends_in_a_result_or_a_fit_error(self, monkeypatch, start):
+        # a short fit with SGLD draws from the edge of the parameter space,
+        # or with every chain's mixing variables at the floor of the GIG draw
+        import nglatent.inference as inference
+
+        name, value = start.split("=")
+        if name == "V":
+            class FlooredChain(GibbsChain):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    self.v_w[:] = V_FLOOR
+                    self.v_y[:] = V_FLOOR
+
+            monkeypatch.setattr(inference, "GibbsChain", FlooredChain)
+        n = 60
+        truth = assemble_model(
+            A=sparse.identity(n, format="csr"),
+            X=np.zeros((n, 0)),
+            op=ar1_operator(0.8, n),
+            noise_w=NoiseSpec("nig", sigma=2.0, mu=3.0, nu=0.4),
+            noise_y=NoiseSpec("gaussian", sigma=1.0),
+        )
+        Y, _ = simulate(truth, rng=np.random.default_rng(2))
+        params = {"phi": 0.3, "nu": 1.0}
+        if name in params:
+            params[name] = float(value)
+        model = assemble_model(
+            A=truth.A,
+            X=truth.X,
+            op=ar1_operator(params["phi"], n),
+            noise_w=NoiseSpec("nig", sigma=1.0, mu=0.0, nu=params["nu"]),
+            noise_y=NoiseSpec("gaussian", sigma=1.0),
+        )
+        opts = FitOptions(chains=2, max_iters=10, min_iters=10, k=2, seed=1,
+                          theta0=model.theta_natural(), sgld_samples=10)
+        try:
+            fit = map_fit(model, Y, opts)
+        except (OptimizationError, SamplingError):
+            return
+        assert fit.n_iters == 10
+        assert np.all(np.isfinite(fit.theta_map))
+        assert fit.posterior.shape == (10, model.n_params)
+        assert np.all(np.isfinite(fit.posterior))
 
     @pytest.mark.parametrize("error", [ParameterDomainError, FactorizationError])
     def test_chain_start_failure_is_an_optimization_error(self, monkeypatch, error):

@@ -65,7 +65,9 @@ def test_diagonal():
     assert_band_matches(Q, 3)
 
 
-@pytest.mark.parametrize("n", [2 * MIN_BLOCK, 2 * MIN_BLOCK + 7, MIN_BLOCK // 3])
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 2 * MIN_BLOCK, 2 * MIN_BLOCK + 7, MIN_BLOCK // 3, 500, 5000]
+)
 def test_tridiagonal(n):
     assert_band_matches(tridiagonal(n), 1)
 
@@ -73,6 +75,25 @@ def test_tridiagonal(n):
 @pytest.mark.parametrize("width", [2, 5, MIN_BLOCK + 9])
 def test_width_above_bandwidth(width):
     assert_band_matches(tridiagonal(3 * MIN_BLOCK + 5), width)
+
+
+def test_bidiagonal_closed_form_ill_conditioned():
+    # cond(Q) is about 2e9, so the Cholesky factor itself carries relative
+    # errors near cond(Q) * eps: inv(Q) and Q = U'U then agree to only
+    # about 3e-9.  The closed form is checked against inv(U) inv(U)' for
+    # the factor U it is given.
+    n = 500
+    K = ar1_operator(0.999999, n).K
+    v = 1e6 * np.random.default_rng(0).uniform(0.5, 2.0, n)
+    Q = sparse.csr_matrix(K.T @ sparse.diags(1.0 / v) @ K)
+    factor = SpdFactor(Q)
+    U = np.diag(factor._cb[1]) + np.diag(factor._cb[0, 1:], 1)
+    U_inv = np.linalg.inv(U)
+    sigma = U_inv @ U_inv.T
+    S = factor.sigma_band(3).S
+    for d in range(4):
+        want = np.diagonal(sigma, d)
+        assert np.max(np.abs(S[d, : n - d] - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_tensor_bandwidth_above_block_floor():
