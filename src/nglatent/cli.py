@@ -416,7 +416,8 @@ def run_fit(config: RunConfig, out_dir=None):
     op = build_operator(config.model["operator"])
     Y, A, X = _load_fit_inputs(config, op.dim)
     model = build_model_from_config(config, op, A, X)
-    fit = map_fit(model, Y, _fit_options(config))
+    opts = _fit_options(config)
+    fit = map_fit(model, Y, opts)
 
     names = list(fit.param_names)
     if fit.posterior is not None:
@@ -446,18 +447,19 @@ def run_fit(config: RunConfig, out_dir=None):
             out / "posterior.csv", names, [list(r) for r in fit.posterior]
         )
 
-    paths["diagnostics"] = _write_diagnostics(out, fit, names)
+    window = min(opts.window, len(fit.traces))
+    paths["diagnostics"] = _write_diagnostics(out, fit, names, opts.chains, window)
     return fit, paths
 
 
-def _write_diagnostics(out, fit, names):
+def _write_diagnostics(out, fit, names, chains, window):
     d = fit.diagnostics
     summary = {
         "converged": bool(fit.converged),
         "iterations": int(fit.n_iters),
-        "S_T": None if d.get("S_T") is None else float(d.get("S_T", np.nan)),
+        "S_T": None if d.get("S_T") is None else float(d["S_T"]),
     }
-    summary.update(_rhat_drift_summary(names, d.get("rhat"), d.get("drift")))
+    summary.update(_rhat_drift_summary(names, d.get("rhat"), d.get("drift"), chains, window))
     if d.get("grad_corr") is not None:
         summary["grad_corr"] = [float(v) for v in d["grad_corr"]]
     path = Path(out) / "diagnostics.yaml"
@@ -466,14 +468,17 @@ def _write_diagnostics(out, fit, names):
     return path
 
 
-def _rhat_drift_summary(names, rhat_values, drift) -> dict:
-    """The R-hat and drift entries of a diagnostics summary; ``None`` for
-    a diagnostic the trace is too short or has too few chains for."""
+def _rhat_drift_summary(names, rhat_values, drift, chains, window) -> dict:
+    """The R-hat and drift entries of a diagnostics summary.  A missing
+    R-hat names what the trace lacks: ``chains`` chains, ``window``
+    checkpoints in the window; a missing drift check is left out."""
     out = {}
     if rhat_values is not None:
         out["rhat"] = {n: float(v) for n, v in zip(names, rhat_values)}
     else:
-        out["rhat"] = "unavailable (needs >= 2 chains)"
+        needs = [f">= 2 {what}" for what, count in
+                 (("chains", chains), ("checkpoints in the window", window)) if count < 2]
+        out["rhat"] = f"unavailable (needs {' and '.join(needs)})"
     if drift is not None:
         out["drift"] = {
             n: {
@@ -587,8 +592,10 @@ def run_diagnose(config: RunConfig, fit_dir=None):
     summary = {"checkpoints": len(iters), "chains": len(chains)}
     rhat_values = rhat(theta, window).values if len(chains) >= 2 and window >= 2 else None
     drift = drift_check(theta, window) if window >= 3 else None
-    summary.update(_rhat_drift_summary(param_names, rhat_values, drift))
-    summary["S_T"] = float(np.mean([grad_inner_stat(grads[c]) for c in range(len(chains))]))
+    summary.update(_rhat_drift_summary(param_names, rhat_values, drift, len(chains), window))
+    summary["S_T"] = (
+        float(np.mean([grad_inner_stat(g) for g in grads])) if len(iters) >= 2 else None
+    )
     return summary
 
 

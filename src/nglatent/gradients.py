@@ -10,16 +10,24 @@ natural scale and chain-ruled onto the unconstrained optimization scale.
 The operator supplies log det K and its gradient tr(K^-1 dK/dtheta)
 itself (``LatentOperator.logdet_grad``).
 
-The Rao-Blackwellized estimator replaces each W draw by the exact
-conditional expectation of the gradient given (V, Y): linear terms use
-the conditional mean, quadratic terms add covariance traces obtained
-from a partial inverse of the conditional precision.
+One expression (``_grad_rows``) gives the gradient for k latent states
+at once, one row each, over stacked (k, n) arrays.  At drawn W it is the
+augmented gradient, as used by ``augmented_grad`` (k = 1) and the Monte
+Carlo estimator ``mc_gradient``.  The Rao-Blackwellized estimator
+``rb_gradient`` takes the conditional expectation of that gradient given
+(V, Y): the rows are the conditional means of W, which is all the linear
+terms need, and the stacked covariance bands of W | V, Y (a partial
+inverse of the conditional precision) make each quadratic term gain its
+covariance term: tr(A Sigma A') for sigma_eps, diag(K Sigma K') for
+sigma, and diag(dK Sigma K') for each kernel parameter.  Both estimators
+average the rows, map them to the unconstrained scale and subtract the
+prior gradient in one shared tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import special
@@ -61,9 +69,18 @@ def _prepared(model: Model, theta) -> Model:
     return mdl
 
 
-def _check_state(mdl: Model, state: LatentState):
-    if np.any(state.V_W <= 0) or np.any(state.V_Y <= 0):
+def _mixing(draws):
+    """The mixing variables of the draws (each a ``LatentState`` or a
+    ``(V_W, V_Y)`` pair) as (k, n) and (k, m) arrays, checked strictly
+    positive."""
+    if len(draws) == 0:
+        raise InputError("gradient estimation needs at least one draw")
+    pairs = [(d.V_W, d.V_Y) if isinstance(d, LatentState) else d for d in draws]
+    v_w = np.array([w for w, _ in pairs], dtype=float)
+    v_y = np.array([y for _, y in pairs], dtype=float)
+    if np.any(v_w <= 0) or np.any(v_y <= 0):
         raise ParameterDomainError("mixing variables must be strictly positive")
+    return v_w, v_y
 
 
 def _log_prior_v(mdl: Model, v_w) -> float:
@@ -94,7 +111,7 @@ def _log_prior_v(mdl: Model, v_w) -> float:
 def augmented_loglik(model: Model, theta, Y, state: LatentState) -> float:
     """Joint log density log pi(Y, W, V) at the given latent state."""
     mdl = _prepared(model, theta)
-    _check_state(mdl, state)
+    _mixing([state])
     m, n = mdl.m, mdl.n
     r = Y - mdl.X @ mdl.beta - mdl.A @ state.W
     sig_eps = mdl.noise_y.sigma
@@ -130,37 +147,54 @@ def trace_kinv_dk(op) -> dict:
     return op.logdet_grad()[1]
 
 
-def _grad_natural(mdl: Model, Y, state: LatentState, traces: dict) -> np.ndarray:
-    """Analytic gradient of the augmented log-likelihood, natural scale."""
+def _grad_rows(mdl: Model, Y, W, v_w, sigma: Optional[BandedSigma] = None):
+    """Rows of the augmented log-likelihood gradient, natural scale, one per
+    row of ``W`` and ``v_w`` (both (k, n)).
+
+    Without ``sigma`` each row of ``W`` is a drawn latent state.  With
+    ``sigma``, the stacked covariance bands of the k conditionals W | V, Y,
+    the rows of ``W`` are their means and each quadratic term gains its
+    covariance trace: the Rao-Blackwellized rows."""
+    plan = mdl.plan
     nw = mdl.noise_w
-    r = Y - mdl.X @ mdl.beta - mdl.A @ state.W
+    K = mdl.op.K
+    traces = trace_kinv_dk(mdl.op)
+
+    r = Y - mdl.X @ mdl.beta - (mdl.A @ W.T).T
+    sq_r = np.sum(r**2, axis=1)
+    if sigma is not None:
+        sq_r = sq_r + sigma_obs_quad_trace(sigma, mdl.A, plan.aa)
     sig_eps = mdl.noise_y.sigma
-    parts = [mdl.X.T @ r / sig_eps**2]
-    parts.append([-mdl.m / sig_eps + np.sum(r**2) / sig_eps**3])
+    parts = [r @ mdl.X / sig_eps**2]
+    parts.append(-mdl.m / sig_eps + sq_r / sig_eps**3)
 
-    e = mdl.op.K @ state.W - nw.mu * (state.V_W - nw.h)
+    e = (K @ W.T).T - nw.mu * (v_w - nw.h)
+    sq_e = e**2
+    if sigma is not None:
+        sq_e = sq_e + sigma_quad_diag(sigma, K, plan.kk)
     sig = nw.sigma
+    g_sigma = -mdl.n / sig + np.sum(sq_e / v_w, axis=1) / sig**3
     if nw.family != GAUSSIAN:
-        g_mu = np.sum(e * (state.V_W - nw.h) / state.V_W) / sig**2
-        g_sigma = -mdl.n / sig + np.sum(e**2 / state.V_W) / sig**3
-        parts.append([g_mu, g_sigma, _nu_grad(mdl, state.V_W)])
+        g_mu = np.sum(e * (v_w - nw.h) / v_w, axis=1) / sig**2
+        parts += [g_mu, g_sigma, _nu_grad(mdl, v_w)]
     else:
-        parts.append([-mdl.n / sig + np.sum(e**2 / state.V_W) / sig**3])
+        parts.append(g_sigma)
 
-    ev = e / state.V_W
-    kernel = [
-        traces[name] - (mdl.op.dK[name] @ state.W) @ ev / sig**2
-        for name in mdl.op.params
-    ]
-    parts.append(kernel)
-    return np.concatenate([np.atleast_1d(np.asarray(p, dtype=float)) for p in parts])
+    ev = e / v_w
+    for name in mdl.op.params:
+        dK = mdl.op.dK[name]
+        quad = (dK @ W.T).T * ev
+        if sigma is not None:
+            quad = quad + sigma_cross_quad_diag(sigma, dK, K, plan.dk[name]) / v_w
+        parts.append(traces[name] - np.sum(quad, axis=1) / sig**2)
+    return np.column_stack(parts)
 
 
 def augmented_grad(model: Model, theta, Y, state: LatentState) -> np.ndarray:
     """Gradient of log pi(Y, W, V) in theta, on the unconstrained scale."""
     mdl = _prepared(model, theta)
-    _check_state(mdl, state)
-    nat = _grad_natural(mdl, Y, state, trace_kinv_dk(mdl.op))
+    v_w, _ = _mixing([state])
+    nat = _grad_rows(mdl, Y, state.W[None], v_w)[0]
     return nat * jacobian_natural(mdl.theta_natural(), mdl.transform_tags)
 
 
@@ -182,68 +216,27 @@ def prior_grad(priors: PriorSet, theta_unconstrained, names=None):
     return priors.logpdf_grad(names, theta_u)
 
 
-def _states_of(draws) -> Sequence[LatentState]:
-    states = getattr(draws, "states", draws)
-    if len(states) == 0:
-        raise InputError("gradient estimation needs at least one draw")
-    return states
+def _report(mdl: Model, rows, priors: Optional[PriorSet], estimator: str) -> GradientReport:
+    """Minus the mean of the gradient rows on the unconstrained scale,
+    minus the prior gradient."""
+    nat = rows.mean(axis=0)
+    g = -nat * jacobian_natural(mdl.theta_natural(), mdl.transform_tags)
+    priors = mdl.priors if priors is None else priors
+    _, pg = prior_grad(priors, mdl.theta_unconstrained(), mdl.param_names)
+    return GradientReport(g=g - pg, k=rows.shape[0], estimator=estimator)
 
 
 def mc_gradient(
     model: Model, theta, Y, draws, priors: Optional[PriorSet] = None
 ) -> GradientReport:
     """Monte Carlo estimator: minus the average augmented gradient over
-    (V, W) draws, minus the prior gradient."""
+    (V, W) draws, minus the prior gradient.  The draws go through one
+    pass over stacked (k, n) arrays."""
     mdl = _prepared(model, theta)
-    states = _states_of(draws)
-    priors = mdl.priors if priors is None else priors
-    traces = trace_kinv_dk(mdl.op)
-    acc = np.zeros(mdl.n_params)
-    for state in states:
-        _check_state(mdl, state)
-        acc += _grad_natural(mdl, Y, state, traces)
-    nat = acc / len(states)
-    theta_nat = mdl.theta_natural()
-    g = -nat * jacobian_natural(theta_nat, mdl.transform_tags)
-    _, pg = prior_grad(priors, mdl.theta_unconstrained(), mdl.param_names)
-    return GradientReport(g=g - pg, k=len(states), estimator="MC")
-
-
-def _rb_grad_natural(mdl: Model, Y, v_w, v_y, traces: dict, conds) -> np.ndarray:
-    """Rows of the Rao-Blackwellized gradient, natural scale, one per draw:
-    ``v_w`` (k, n) and ``v_y`` (k, m) hold the k mixing draws and ``conds``
-    the k conditionals (mean, factor) of W | V, Y at them."""
-    mu = np.stack([m for m, _ in conds])
-    plan = mdl.plan
-    sig_view = BandedSigma(
-        np.stack([factor.sigma_band(plan.width).S for _, factor in conds]), plan.order
-    )
-    nw = mdl.noise_w
-    K = mdl.op.K
-
-    r_bar = Y - mdl.X @ mdl.beta - (mdl.A @ mu.T).T
-    tr_obs = sigma_obs_quad_trace(sig_view, mdl.A, plan.aa)
-    sig_eps = mdl.noise_y.sigma
-    parts = [r_bar @ mdl.X / sig_eps**2]
-    parts.append(-mdl.m / sig_eps + (np.sum(r_bar**2, axis=1) + tr_obs) / sig_eps**3)
-
-    e_bar = (K @ mu.T).T - nw.mu * (v_w - nw.h)
-    quad_k = sigma_quad_diag(sig_view, K, plan.kk)
-    sig = nw.sigma
-    g_sigma = -mdl.n / sig + np.sum((e_bar**2 + quad_k) / v_w, axis=1) / sig**3
-    if nw.family != GAUSSIAN:
-        g_mu = np.sum(e_bar * (v_w - nw.h) / v_w, axis=1) / sig**2
-        parts += [g_mu, g_sigma, _nu_grad(mdl, v_w)]
-    else:
-        parts.append(g_sigma)
-
-    ev = e_bar / v_w
-    for name in mdl.op.params:
-        dK = mdl.op.dK[name]
-        cross = sigma_cross_quad_diag(sig_view, dK, K, plan.dk[name])
-        quad = np.sum((dK @ mu.T).T * ev + cross / v_w, axis=1)
-        parts.append(traces[name] - quad / sig**2)
-    return np.column_stack(parts)
+    states = getattr(draws, "states", draws)
+    v_w, _ = _mixing(states)
+    W = np.array([s.W for s in states], dtype=float)
+    return _report(mdl, _grad_rows(mdl, Y, W, v_w), priors, "MC")
 
 
 def rb_gradient(
@@ -259,18 +252,12 @@ def rb_gradient(
     at them.
     """
     mdl = _prepared(model, theta)
-    if len(v_draws) == 0:
-        raise InputError("gradient estimation needs at least one draw")
-    priors = mdl.priors if priors is None else priors
-    traces = trace_kinv_dk(mdl.op)
-    draws = [(d.V_W, d.V_Y) if isinstance(d, LatentState) else d for d in v_draws]
-    v_w = np.array([w for w, _ in draws], dtype=float)
-    v_y = np.array([y for _, y in draws], dtype=float)
-    if np.any(v_w <= 0) or np.any(v_y <= 0):
-        raise ParameterDomainError("mixing variables must be strictly positive")
+    v_w, v_y = _mixing(v_draws)
     if _conds is None:
         _conds = [_w_conditional(mdl, a, b, Y) for a, b in zip(v_w, v_y)]
-    nat = _rb_grad_natural(mdl, Y, v_w, v_y, traces, _conds).mean(axis=0)
-    g = -nat * jacobian_natural(mdl.theta_natural(), mdl.transform_tags)
-    _, pg = prior_grad(priors, mdl.theta_unconstrained(), mdl.param_names)
-    return GradientReport(g=g - pg, k=len(v_draws), estimator="RB")
+    mean = np.stack([m for m, _ in _conds])
+    plan = mdl.plan
+    sigma = BandedSigma(
+        np.stack([factor.sigma_band(plan.width).S for _, factor in _conds]), plan.order
+    )
+    return _report(mdl, _grad_rows(mdl, Y, mean, v_w, sigma), priors, "RB")

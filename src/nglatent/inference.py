@@ -186,6 +186,12 @@ def _grad_corr(grad_history) -> float:
 # Options and results
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+RHAT_SPREAD_FLOOR = 1e-6
+GRAD_NORM_FLOOR = 1e-6
+
 
 @dataclass
 class FitOptions:
@@ -207,11 +213,6 @@ class FitOptions:
     drift_relvar_tol: float = 0.02
     drift_scale_floor: float = 0.5
     grad_corr_tol: float = 0.5
-    rhat_spread_floor: float = 1e-6
-    grad_norm_floor: float = 1e-6
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     sgld_samples: int = 0
     sgld_step0: float = 2e-4
     sgld_tau: float = 200.0
@@ -283,6 +284,8 @@ class _ChainWorker:
     """One optimization chain: private rng, Gibbs state, ADAM buffers."""
 
     def __init__(self, model, Y, u0, tags, opts, seed, fixed_mask):
+        if opts.estimator not in ("rb", "mc"):
+            raise InputError(f"unknown estimator {opts.estimator!r}; expected 'rb' or 'mc'")
         self.rng = np.random.default_rng(seed)
         self.tags = tags
         self.fixed = fixed_mask
@@ -312,12 +315,11 @@ class _ChainWorker:
 
     def adam_step(self, t: int, gamma: float):
         g = self.gradient()
-        opts = self.opts
-        self.m = opts.adam_beta1 * self.m + (1 - opts.adam_beta1) * g
-        self.v = opts.adam_beta2 * self.v + (1 - opts.adam_beta2) * g**2
-        mhat = self.m / (1 - opts.adam_beta1**t)
-        vhat = self.v / (1 - opts.adam_beta2**t)
-        self.u = self.u - gamma * mhat / (np.sqrt(vhat) + opts.adam_eps)
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * g
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * g**2
+        mhat = self.m / (1 - ADAM_BETA1**t)
+        vhat = self.v / (1 - ADAM_BETA2**t)
+        self.u = self.u - gamma * mhat / (np.sqrt(vhat) + ADAM_EPS)
         self.last_grad = g
         self.grads.append(g)
 
@@ -456,7 +458,7 @@ def _evaluate_diagnostics(traces, workers, opts, fixed_mask, window_iters):
         means = arr.mean(axis=1)
         spread = means.max(axis=0) - means.min(axis=0)
         scale = np.maximum(1.0, np.abs(means).max(axis=0))
-        agree = spread <= opts.rhat_spread_floor * scale
+        agree = spread <= RHAT_SPREAD_FLOOR * scale
         ok = (rr.values < opts.rhat_tol) | rr.degenerate | agree
         rhat_ok = bool(np.all(ok[free]))
     else:
@@ -483,7 +485,7 @@ def _evaluate_diagnostics(traces, workers, opts, fixed_mask, window_iters):
             corrs.append(_grad_corr(hist))
             s_ts.append(grad_inner_stat(hist))
     out["grad_corr"] = np.array(corrs)
-    out["S_T"] = float(np.mean(s_ts)) if s_ts else np.nan
+    out["S_T"] = float(np.mean(s_ts)) if s_ts else None
     rms = [
         float(np.sqrt(np.mean(np.asarray(w.grads[-window_iters:]) ** 2)))
         for w in workers
@@ -492,7 +494,7 @@ def _evaluate_diagnostics(traces, workers, opts, fixed_mask, window_iters):
     grad_ok = bool(
         np.all(
             (np.abs(out["grad_corr"]) < opts.grad_corr_tol)
-            | (out["grad_rms"] < opts.grad_norm_floor)
+            | (out["grad_rms"] < GRAD_NORM_FLOOR)
         )
     )
     out["all_passed"] = rhat_ok and drift_ok and grad_ok
@@ -512,11 +514,11 @@ def _sgld_chain(worker: _ChainWorker, n_keep, step0, tau, thin, tags):
         for _ in range(thin):
             t += 1
             gamma = step0 * (1.0 + t / tau) ** (-0.51)
-            last = to_natural(samples[s - 1], tags) if s > 0 else None
             try:
                 worker.sgld_step(gamma)
                 worker.commit()
             except (NumericalError, ParameterDomainError) as exc:
+                last = to_natural(samples[s - 1], tags) if s > 0 else None
                 raise SamplingError(
                     f"divergent SGLD trajectory at step {t}: {exc}", last_state=last
                 ) from exc

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import yaml
@@ -188,6 +190,15 @@ class TestFit:
             assert code == 0
 
 
+    def test_unknown_estimator_exit_code(self, tmp_path):
+        raw = base_config(tmp_path, n=20, max_iters=10)
+        raw["inference"]["estimator"] = "RB"
+        path = write_config(tmp_path, raw)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert main(["fit", "--config", str(path)]) == EXIT_CONFIG
+        assert not (tmp_path / "out" / "estimates.csv").exists()
+
+
 class TestPredict:
     def test_quantile_columns_and_determinism(self, tmp_path):
         cfg = RunConfig.from_dict(base_config(tmp_path, n=30))
@@ -314,6 +325,31 @@ class TestDiagnose:
         assert summary["chains"] == 2
         assert set(summary["rhat"]) == {"sigma_eps", "sigma", "phi"}
         assert np.isfinite(summary["S_T"])
+
+
+    @pytest.mark.parametrize("max_iters, checkpoints", [(10, 1), (5, 0)])
+    def test_short_trace(self, tmp_path, max_iters, checkpoints):
+        # two chains, but fewer than two checkpoints: R-hat names the
+        # missing checkpoints and S_T is null, in the fit and in diagnose
+        cfg = RunConfig.from_dict(base_config(tmp_path, n=30, max_iters=max_iters))
+        run_simulate(cfg, out_dir=tmp_path)
+        _, paths = run_fit(cfg)
+        diag = yaml.safe_load(paths["diagnostics"].read_text())
+        assert diag["rhat"] == "unavailable (needs >= 2 checkpoints in the window)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_diagnose(cfg)
+        assert summary["checkpoints"] == checkpoints
+        assert summary["S_T"] is None
+        if checkpoints:
+            assert summary["chains"] == 2
+            assert summary["rhat"] == "unavailable (needs >= 2 checkpoints in the window)"
+        else:  # an empty trace holds no chain
+            assert summary["rhat"] == (
+                "unavailable (needs >= 2 chains and >= 2 checkpoints in the window)"
+            )
+        path = write_config(tmp_path, cfg.to_dict())
+        assert main(["diagnose", "--config", str(path)]) == 0
 
 
 class TestMainEntry:

@@ -285,6 +285,19 @@ class TestMcGradient:
         lp, pg = prior_grad(flat, model.theta_unconstrained())
         assert lp == 0.0 and np.all(pg == 0.0)
 
+    @pytest.mark.parametrize("family", ["gaussian", "nig", "gal"])
+    def test_stacked_states_equal_the_mean_of_single_states(self, family):
+        # k states in one array pass against k single-state gradients
+        rng = np.random.default_rng(8)
+        model = make_model(family, n=7, X=rng.normal(size=(7, 2)), beta=np.array([0.5, -1.0]))
+        Y, _ = simulate(model, rng=rng)
+        states = gibbs_run(rng, model, None, Y, iters=12, burnin=2, thin=2).states
+        flat = flat_priors(model.param_names)
+        rep = mc_gradient(model, None, Y, states, priors=flat)
+        ref = -np.mean([augmented_grad(model, None, Y, s) for s in states], axis=0)
+        assert rep.k == len(states) == 5
+        np.testing.assert_allclose(rep.g, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
     def test_variance_shrinks_like_one_over_k(self):
         model = make_model("nig", n=4)
         rng = np.random.default_rng(6)

@@ -1,4 +1,5 @@
-"""Source hygiene of the package: every imported name is used."""
+"""Source hygiene of the package: every imported name is used, and every
+private module-level name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,50 @@ def unused_imports(source: str) -> list:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def _private_definitions(tree) -> dict:
+    """Module-level private functions, classes and constants, by name."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def _reads(tree) -> set:
+    """Names a module reads: loaded names, attributes and imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {alias.name for alias in node.names}
+    return out
+
+
+def unread_private_names(sources: dict) -> list:
+    """Private module-level names that no module of ``sources`` (module
+    name to source text) reads; ``__init__`` defines none that count."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = set().union(*(_reads(tree) for tree in trees.values()))
+    return sorted(
+        f"{module}.{name} (line {line})"
+        for module, tree in trees.items()
+        if module != "__init__"
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    )
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -48,3 +93,30 @@ def test_detects_an_unused_import():
         "    return x\n"
     )
     assert unused_imports(source) == ["Sequence (line 2)", "os (line 1)"]
+
+
+def test_no_unread_private_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+def test_detects_an_unread_private_name():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "_spare: int = 4\n"
+            "def _used():\n"
+            "    return _LIMIT\n"
+            "def _left_over():\n"
+            "    return 1\n"
+            "class _Old:\n"
+            "    pass\n"
+        ),
+        "b": "from .a import _used\n",
+        "__init__": "_unread_in_init = 1\n",
+    }
+    assert unread_private_names(sources) == [
+        "a._Old (line 7)",
+        "a._left_over (line 5)",
+        "a._spare (line 2)",
+    ]

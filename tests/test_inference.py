@@ -413,6 +413,43 @@ class TestMapFit:
         assert fit.posterior.shape == (10, model.n_params)
         assert np.all(np.isfinite(fit.posterior))
 
+    def test_monte_carlo_estimator_fit(self):
+        # the plain augmented gradient at the drawn W, in place of the
+        # Rao-Blackwellized default, through a short fit with SGLD draws
+        n = 40
+        truth = assemble_model(
+            A=sparse.identity(n, format="csr"),
+            X=np.zeros((n, 0)),
+            op=ar1_operator(0.8, n),
+            noise_w=NoiseSpec("nig", sigma=2.0, mu=3.0, nu=0.4),
+            noise_y=NoiseSpec("gaussian", sigma=1.0),
+        )
+        Y, _ = simulate(truth, rng=np.random.default_rng(5))
+        model = assemble_model(
+            A=truth.A,
+            X=truth.X,
+            op=ar1_operator(0.3, n),
+            noise_w=NoiseSpec("nig", sigma=1.0, mu=0.0, nu=1.0),
+            noise_y=NoiseSpec("gaussian", sigma=1.0),
+        )
+        opts = dict(chains=2, max_iters=20, min_iters=20, k=2, seed=4, sgld_samples=6)
+        fit = map_fit(model, Y, FitOptions(estimator="mc", **opts))
+        assert fit.n_iters == 20
+        assert np.all(np.isfinite(fit.theta_map))
+        assert fit.posterior.shape == (6, model.n_params)
+        assert np.all(np.isfinite(fit.posterior))
+        rb = map_fit(model, Y, FitOptions(estimator="rb", **opts))
+        assert not np.array_equal(fit.theta_map, rb.theta_map)
+
+    @pytest.mark.parametrize("estimator", ["RB", "bogus", ""])
+    def test_unknown_estimator_rejected(self, estimator):
+        model = conjugate_toy()
+        Y = np.zeros(model.m)
+        with pytest.raises(InputError, match="estimator"):
+            map_fit(model, Y, FitOptions(chains=1, max_iters=3, estimator=estimator))
+        with pytest.raises(InputError, match="estimator"):
+            sgld_sample(model, Y, model.theta_natural(), SgldOptions(n_samples=2, estimator=estimator))
+
     @pytest.mark.parametrize("error", [ParameterDomainError, FactorizationError])
     def test_chain_start_failure_is_an_optimization_error(self, monkeypatch, error):
         import nglatent.inference as inference
@@ -484,6 +521,34 @@ class TestSgld:
         var = inc.var()
         se = var * np.sqrt(2.0 / inc.size)
         assert abs(var - 2 * gamma) < 3 * se
+
+    @pytest.mark.parametrize("fail_at, thin", [(1, 1), (4, 1), (5, 2)])
+    def test_failed_step_reports_the_previous_draw(self, monkeypatch, fail_at, thin):
+        # a step that fails carries the last kept draw (natural scale), or
+        # None when no draw was kept yet
+        from nglatent import inference as inf
+
+        model = conjugate_toy()
+        Y = np.array([1.0, 2.0, 0.5, 1.5])
+        theta0 = np.array([2.0, 0.5, 1.0, 0.5])
+        opts = SgldOptions(n_samples=4, step0=1e-3, thin=thin, seed=3)
+        kept = sgld_sample(model, Y, theta0, opts)
+        step, calls = inf._ChainWorker.sgld_step, []
+
+        def failing(self, gamma):
+            calls.append(gamma)
+            if len(calls) == fail_at:
+                raise ParameterDomainError("injected")
+            step(self, gamma)
+
+        monkeypatch.setattr(inf._ChainWorker, "sgld_step", failing)
+        with pytest.raises(SamplingError, match=f"step {fail_at}") as ei:
+            sgld_sample(model, Y, theta0, opts)
+        n_kept = (fail_at - 1) // thin
+        if n_kept == 0:
+            assert ei.value.last_state is None
+        else:
+            np.testing.assert_array_equal(ei.value.last_state, kept[n_kept - 1])
 
     @pytest.mark.slow
     def test_conjugate_gaussian_calibration(self):
