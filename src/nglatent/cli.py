@@ -574,7 +574,13 @@ def run_score(config: RunConfig, out_dir=None):
 
 
 def run_diagnose(config: RunConfig, fit_dir=None):
-    """Recompute convergence diagnostics from a written trace file."""
+    """Recompute convergence diagnostics from a written trace file.
+
+    ``S_T_checkpoints`` sums, over every checkpoint of the whole trace,
+    the inner products of consecutive checkpoint gradients (the mean over
+    chains).  It is not the fit's ``S_T`` in ``diagnostics.yaml``, which
+    sums the products of every iteration's gradients over the last window.
+    """
     fit_dir = Path(fit_dir or config.output["dir"])
     header, rows = read_table(fit_dir / "trace.csv")
     chains = sorted({int(r[0]) for r in rows})
@@ -593,7 +599,7 @@ def run_diagnose(config: RunConfig, fit_dir=None):
     rhat_values = rhat(theta, window).values if len(chains) >= 2 and window >= 2 else None
     drift = drift_check(theta, window) if window >= 3 else None
     summary.update(_rhat_drift_summary(param_names, rhat_values, drift, len(chains), window))
-    summary["S_T"] = (
+    summary["S_T_checkpoints"] = (
         float(np.mean([grad_inner_stat(g) for g in grads])) if len(iters) >= 2 else None
     )
     return summary

@@ -5,12 +5,20 @@ W | V, Y is Gaussian with sparse precision
 and each mixing variable V_i | W, Y stays GIG with shifted order
 p - 1/2 and updated (a, b).  One sweep samples W, then the process
 block V_W, then the measurement block V_Y.
+
+Several chains can sweep in lockstep (``lockstep_sweep``): each chain
+draws W from its own conditional with its own rng, then one
+``gig_sample_many`` call on a shared mixing stream draws the process
+mixing variables of every chain, and one more call their measurement
+mixing variables.  The sampler acts elementwise, so each chain's draws
+keep their law.  A single ``GibbsChain`` is the one-chain case, with its
+own rng as the mixing stream; its draws come in the order W, V_W, V_Y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -23,6 +31,7 @@ from .model import LatentState, Model
 __all__ = [
     "GibbsDraws",
     "GibbsChain",
+    "lockstep_sweep",
     "conditional_w_params",
     "sample_w",
     "sample_v",
@@ -97,23 +106,39 @@ def _gig_params(noise, e):
     return p - 0.5, a + mu**2 / sig2, b + (e + mu * noise.h) ** 2 / sig2
 
 
-def _gig_draw(rng, noise, e):
-    p, a, b = _gig_params(noise, e)
+def _gig_draw(rng, blocks):
+    """Mixing variables of several non-Gaussian blocks, given as (noise,
+    residuals) pairs, from one GIG call over their joined parameters."""
+    p, a, b = (np.concatenate(x) for x in zip(*(_gig_params(nz, e) for nz, e in blocks)))
     np.maximum(b, 1e-30, out=b)
     v = gig_sample_many(rng, p, a, b)
     np.maximum(v, V_FLOOR, out=v)
-    return v
+    out, start = [], 0
+    for _, e in blocks:
+        out.append(v[start : start + e.size])
+        start += e.size
+    return out
 
 
-def _draw_v(rng, mdl, W, Y):
-    if mdl.noise_w.family == GAUSSIAN:
-        v_w = mdl.noise_w.h.copy()
-    else:
-        v_w = _gig_draw(rng, mdl.noise_w, mdl.op.K @ W)
-    if mdl.noise_y.family == GAUSSIAN:
-        v_y = np.ones(mdl.m)
-    else:
-        v_y = _gig_draw(rng, mdl.noise_y, Y - mdl.X @ mdl.beta - mdl.A @ W)
+def _draw_v(rng, models, ws, Ys):
+    """V_W and V_Y of each of several chains, given its W.  Gaussian blocks
+    keep V = h; the non-Gaussian process blocks of all chains take one GIG
+    call, then their non-Gaussian measurement blocks one more."""
+    v_w = [m.noise_w.h.copy() for m in models]
+    v_y = [np.ones(m.m) for m in models]
+    proc = [i for i, m in enumerate(models) if m.noise_w.family != GAUSSIAN]
+    if proc:
+        blocks = [(models[i].noise_w, models[i].op.K @ ws[i]) for i in proc]
+        for i, v in zip(proc, _gig_draw(rng, blocks)):
+            v_w[i] = v
+    meas = [i for i, m in enumerate(models) if m.noise_y.family != GAUSSIAN]
+    if meas:
+        blocks = [
+            (models[i].noise_y, Ys[i] - models[i].X @ models[i].beta - models[i].A @ ws[i])
+            for i in meas
+        ]
+        for i, v in zip(meas, _gig_draw(rng, blocks)):
+            v_y[i] = v
     return v_w, v_y
 
 
@@ -121,7 +146,8 @@ def sample_v(rng, model: Model, theta, W, Y) -> Tuple[np.ndarray, np.ndarray]:
     """Independent GIG draws from the mixing-variable conditionals;
     Gaussian blocks return V = h unchanged."""
     mdl = _prepared(model, theta)
-    return _draw_v(rng, mdl, np.asarray(W, float), Y)
+    (v_w,), (v_y,) = _draw_v(rng, [mdl], [np.asarray(W, float)], [Y])
+    return v_w, v_y
 
 
 def conditional_v_gig_params(model: Model, theta, W, Y):
@@ -133,8 +159,9 @@ def conditional_v_gig_params(model: Model, theta, W, Y):
 class GibbsChain:
     """A warm-started Gibbs chain owning its rng and current state.
 
-    The optimizer keeps one per optimization chain and advances it a few
-    sweeps per gradient evaluation instead of restarting.
+    The optimizer keeps one per optimization chain and advances them
+    together (``lockstep_sweep``) a few sweeps per gradient evaluation
+    instead of restarting.
     """
 
     def __init__(self, model: Model, Y, rng, theta=None):
@@ -157,21 +184,36 @@ class GibbsChain:
         each visited V (already needed for the next W draw) is returned
         alongside, so gradient estimators can reuse the factorization.
         """
-        out = []
-        conds = []
-        for _ in range(k):
-            if self._cond is None:
-                self._cond = _w_conditional(self.model, self.v_w, self.v_y, self.Y)
-            self.w = _draw_w(
-                self.rng, self.model, self.v_w, self.v_y, self.Y, cond=self._cond
-            )
-            self.v_w, self.v_y = _draw_v(self.rng, self.model, self.w, self.Y)
-            self._cond = _w_conditional(self.model, self.v_w, self.v_y, self.Y)
-            out.append(LatentState(W=self.w, V_W=self.v_w.copy(), V_Y=self.v_y.copy()))
-            conds.append(self._cond)
+        states, conds = lockstep_sweep([self], k, self.rng)[0]
         if with_conditionals:
-            return out, conds
-        return out
+            return states, conds
+        return states
+
+
+def lockstep_sweep(chains: Sequence[GibbsChain], k: int, rng):
+    """Advance several chains k sweeps together.
+
+    In each sweep every chain draws W from its own conditional with its
+    own rng; then ``rng`` draws the mixing variables of all chains, one
+    GIG call per block kind (process, measurement) that any chain has
+    non-Gaussian.  Returns, per chain, its k visited states and the
+    W | V, Y conditionals at them.
+    """
+    runs = [([], []) for _ in chains]
+    for _ in range(k):
+        for c in chains:
+            if c._cond is None:
+                c._cond = _w_conditional(c.model, c.v_w, c.v_y, c.Y)
+            c.w = _draw_w(c.rng, c.model, c.v_w, c.v_y, c.Y, cond=c._cond)
+        v_w, v_y = _draw_v(
+            rng, [c.model for c in chains], [c.w for c in chains], [c.Y for c in chains]
+        )
+        for c, c_vw, c_vy, (states, conds) in zip(chains, v_w, v_y, runs):
+            c.v_w, c.v_y = c_vw, c_vy
+            c._cond = _w_conditional(c.model, c_vw, c_vy, c.Y)
+            states.append(LatentState(W=c.w, V_W=c_vw.copy(), V_Y=c_vy.copy()))
+            conds.append(c._cond)
+    return runs
 
 
 def gibbs_run(

@@ -1,20 +1,27 @@
 """Stochastic-gradient MAP estimation and Langevin posterior sampling.
 
 Estimation runs several independent chains from jittered starts.  Each
-chain owns a warm Gibbs state; one optimizer iteration advances the
-Gibbs chain k sweeps, forms the (Rao-Blackwellized by default) gradient
-of the negative log-posterior, and applies a diagonally preconditioned
-step on the unconstrained scale.  Every ``checkpoint_every`` iterations
-the coordinator records a trace row and evaluates three diagnostics:
-cross-chain agreement (Gelman-Rubin), within-chain stabilization
-(trend / relative variability of checkpoint means), and the accumulated
-inner products of consecutive gradients.  When all three pass, the
-optimizer stops and (optionally) switches to the sampling phase
+chain owns a warm Gibbs state and its own rng.  One optimizer iteration
+advances all chains k Gibbs sweeps in lockstep (``gibbs.lockstep_sweep``:
+each chain draws W with its own rng, and one shared mixing stream draws
+the mixing variables of every chain in one GIG call per block kind);
+then each chain forms the (Rao-Blackwellized by default) gradient of the
+negative log-posterior at its own theta and applies a diagonally
+preconditioned step on the unconstrained scale.  Every
+``checkpoint_every`` iterations the coordinator records a trace row and
+evaluates three diagnostics: cross-chain agreement (Gelman-Rubin),
+within-chain stabilization (trend / relative variability of checkpoint
+means), and the accumulated inner products of consecutive gradients.
+When all three pass, the optimizer stops and (optionally) switches to
+the sampling phase
 
     theta <- theta - gamma_t g(theta) + N(0, 2 gamma_t I),
 
 whose iterates, mapped back to the natural scale, are the posterior
-sample.
+sample.  The sampling phase steps the chains in lockstep too.  The
+shared mixing stream of ``map_fit`` is the seed's child after the
+chains' own (``SeedSequence(seed).spawn(chains + 1)[-1]``); a single
+chain (``sgld_sample``) draws its mixing variables from its own rng.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .errors import (
     ParameterDomainError,
     SamplingError,
 )
-from .gibbs import GibbsChain
+from .gibbs import GibbsChain, lockstep_sweep
 from .gradients import mc_gradient, rb_gradient
 from .model import Model
 from .transforms import to_natural, to_unconstrained
@@ -281,7 +288,9 @@ def moment_start(model: Model, Y) -> np.ndarray:
 
 
 class _ChainWorker:
-    """One optimization chain: private rng, Gibbs state, ADAM buffers."""
+    """One optimization chain: private rng, Gibbs state, ADAM buffers, and
+    the states and conditionals of its latest k sweeps (``sweeps``), which
+    ``_sweep`` sets and the chain's next gradient reads."""
 
     def __init__(self, model, Y, u0, tags, opts, seed, fixed_mask):
         if opts.estimator not in ("rb", "mc"):
@@ -301,10 +310,11 @@ class _ChainWorker:
         self.grads: List[np.ndarray] = []
         self.opts = opts
         self.last_grad = np.zeros(u0.size)
+        self.sweeps = None
 
     def gradient(self) -> np.ndarray:
         opts = self.opts
-        states, conds = self.gibbs.sweep(opts.k, with_conditionals=True)
+        states, conds = self.sweeps
         if opts.estimator == "rb":
             rep = rb_gradient(self.gibbs.model, None, self.gibbs.Y, states, _conds=conds)
         else:
@@ -334,6 +344,14 @@ class _ChainWorker:
         if not np.all(np.isfinite(self.u)):
             raise NumericalError("non-finite iterate")
         self.gibbs.set_theta(to_natural(self.u, self.tags))
+
+
+def _sweep(workers: Sequence[_ChainWorker], mix_rng):
+    """Advance every chain k Gibbs sweeps in lockstep, with ``mix_rng`` as
+    the shared mixing stream."""
+    chains = [w.gibbs for w in workers]
+    for w, run in zip(workers, lockstep_sweep(chains, workers[0].opts.k, mix_rng)):
+        w.sweeps = run
 
 
 def _map_step_size(t: int, opts: FitOptions) -> float:
@@ -377,7 +395,8 @@ def map_fit(model: Model, Y, opts: FitOptions = None) -> FitResult:
         )
     u0 = to_unconstrained(theta0, tags)
     fixed_mask = _fixed_mask(model, opts.fixed)
-    seeds = np.random.SeedSequence(opts.seed).spawn(opts.chains)
+    seeds = np.random.SeedSequence(opts.seed).spawn(opts.chains + 1)
+    mix_rng = np.random.default_rng(seeds[-1])
     workers = [
         _ChainWorker(model, Y, u0, tags, opts, seeds[c], fixed_mask)
         for c in range(opts.chains)
@@ -391,14 +410,15 @@ def map_fit(model: Model, Y, opts: FitOptions = None) -> FitResult:
     while t < opts.max_iters:
         t += 1
         gamma = _map_step_size(t, opts)
-        for wkr in workers:
-            try:
+        try:
+            _sweep(workers, mix_rng)
+            for wkr in workers:
                 wkr.adam_step(t, gamma)
                 wkr.commit()
-            except (NumericalError, ParameterDomainError) as exc:
-                raise OptimizationError(
-                    f"divergent trajectory at iteration {t}: {exc}", traces=traces
-                ) from exc
+        except (NumericalError, ParameterDomainError) as exc:
+            raise OptimizationError(
+                f"divergent trajectory at iteration {t}: {exc}", traces=traces
+            ) from exc
         if t % opts.checkpoint_every == 0:
             traces.append(
                 CheckpointTrace(
@@ -425,11 +445,9 @@ def map_fit(model: Model, Y, opts: FitOptions = None) -> FitResult:
     posterior = None
     if opts.sgld_samples > 0:
         per_chain = math.ceil(opts.sgld_samples / opts.chains)
-        blocks = [
-            _sgld_chain(w, per_chain, opts.sgld_step0, opts.sgld_tau, opts.sgld_thin, tags)
-            for w in workers
-        ]
-        posterior = np.concatenate(blocks, axis=0)[: opts.sgld_samples]
+        posterior = _sgld_chains(
+            workers, mix_rng, per_chain, opts.sgld_step0, opts.sgld_tau, opts.sgld_thin, tags
+        )[: opts.sgld_samples]
 
     diagnostics["converged"] = converged
     return FitResult(
@@ -507,23 +525,30 @@ def _evaluate_diagnostics(traces, workers, opts, fixed_mask, window_iters):
 # ---------------------------------------------------------------------------
 
 
-def _sgld_chain(worker: _ChainWorker, n_keep, step0, tau, thin, tags):
-    samples = np.empty((n_keep, worker.u.size))
+def _sgld_chains(workers, mix_rng, n_keep, step0, tau, thin, tags):
+    """n_keep kept SGLD draws per chain, the chains stepped in lockstep;
+    rows hold chain 0's draws first.  A failure carries the failing
+    chain's last kept draw; a failure in the shared sweep, which every
+    chain takes part in, carries chain 0's."""
+    samples = np.empty((len(workers), n_keep, workers[0].u.size))
     t = 0
     for s in range(n_keep):
         for _ in range(thin):
             t += 1
             gamma = step0 * (1.0 + t / tau) ** (-0.51)
+            c = 0
             try:
-                worker.sgld_step(gamma)
-                worker.commit()
+                _sweep(workers, mix_rng)
+                for c, wkr in enumerate(workers):
+                    wkr.sgld_step(gamma)
+                    wkr.commit()
             except (NumericalError, ParameterDomainError) as exc:
-                last = to_natural(samples[s - 1], tags) if s > 0 else None
+                last = to_natural(samples[c, s - 1], tags) if s > 0 else None
                 raise SamplingError(
                     f"divergent SGLD trajectory at step {t}: {exc}", last_state=last
                 ) from exc
-        samples[s] = worker.u
-    return to_natural(samples.T, tags).T
+        samples[:, s] = [w.u for w in workers]
+    return to_natural(samples.reshape(-1, samples.shape[2]).T, tags).T
 
 
 def sgld_sample(model: Model, Y, theta0, opts: SgldOptions = None) -> np.ndarray:
@@ -544,4 +569,6 @@ def sgld_sample(model: Model, Y, theta0, opts: SgldOptions = None) -> np.ndarray
     worker = _ChainWorker(
         model, Y, u0, tags, fit_opts, np.random.SeedSequence(opts.seed), fixed_mask
     )
-    return _sgld_chain(worker, opts.n_samples, opts.step0, opts.tau, opts.thin, tags)
+    return _sgld_chains(
+        [worker], worker.rng, opts.n_samples, opts.step0, opts.tau, opts.thin, tags
+    )

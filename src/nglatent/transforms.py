@@ -47,7 +47,8 @@ def to_unconstrained(theta_natural, tags):
 
 def to_natural(theta_unconstrained, tags):
     """Inverse of :func:`to_unconstrained`.  Row i holds parameter i, so a
-    (params, draws) array maps every draw at once."""
+    (params, draws) array maps every draw at once.  A mapped value that is
+    not finite (an overflowing ``exp``, say) raises ParameterDomainError."""
     _check_tags(tags)
     u = np.asarray(theta_unconstrained, dtype=float)
     out = np.empty_like(u)
@@ -56,9 +57,14 @@ def to_natural(theta_unconstrained, tags):
         if t == IDENTITY:
             out[i] = v
         elif t == LOG:
-            out[i] = np.exp(v)
+            with np.errstate(over="ignore"):
+                out[i] = np.exp(v)
         else:
             out[i] = np.tanh(0.5 * v)
+        if not np.all(np.isfinite(out[i])):
+            raise ParameterDomainError(
+                f"parameter {i} ({t} scale) maps to a non-finite natural value"
+            )
     return out
 
 

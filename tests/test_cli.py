@@ -324,13 +324,14 @@ class TestDiagnose:
         summary = run_diagnose(cfg)
         assert summary["chains"] == 2
         assert set(summary["rhat"]) == {"sigma_eps", "sigma", "phi"}
-        assert np.isfinite(summary["S_T"])
+        assert np.isfinite(summary["S_T_checkpoints"])
 
 
     @pytest.mark.parametrize("max_iters, checkpoints", [(10, 1), (5, 0)])
     def test_short_trace(self, tmp_path, max_iters, checkpoints):
         # two chains, but fewer than two checkpoints: R-hat names the
-        # missing checkpoints and S_T is null, in the fit and in diagnose
+        # missing checkpoints, in the fit and in diagnose, and diagnose's
+        # S_T_checkpoints is null
         cfg = RunConfig.from_dict(base_config(tmp_path, n=30, max_iters=max_iters))
         run_simulate(cfg, out_dir=tmp_path)
         _, paths = run_fit(cfg)
@@ -340,7 +341,7 @@ class TestDiagnose:
             warnings.simplefilter("error")
             summary = run_diagnose(cfg)
         assert summary["checkpoints"] == checkpoints
-        assert summary["S_T"] is None
+        assert summary["S_T_checkpoints"] is None
         if checkpoints:
             assert summary["chains"] == 2
             assert summary["rhat"] == "unavailable (needs >= 2 checkpoints in the window)"

@@ -4,11 +4,13 @@ from scipy import sparse
 
 from nglatent.distributions import GigParams, NoiseSpec, gig_logpdf, gig_moments
 from nglatent.errors import InputError
+import nglatent.gibbs as gibbs
 from nglatent.gibbs import (
     GibbsChain,
     conditional_v_gig_params,
     conditional_w_params,
     gibbs_run,
+    lockstep_sweep,
     sample_v,
     sample_w,
 )
@@ -314,3 +316,72 @@ class TestNonGaussianMeasurement:
         # one sweep of the full chain stays finite
         w = sample_w(rng, model, None, (v_w, v_y), Y)
         assert np.all(np.isfinite(w))
+
+
+def nig_both_model(n=12, phi=0.6, sigma=1.5, mu=1.0, nu=0.7):
+    """NIG process and NIG measurement noise, so both mixing blocks draw."""
+    return assemble_model(
+        A=sparse.identity(n, format="csr"),
+        X=np.ones((n, 1)),
+        op=ar1_operator(phi, n),
+        noise_w=NoiseSpec("nig", sigma=sigma, mu=mu, nu=nu),
+        noise_y=NoiseSpec("nig", sigma=0.8, mu=0.5, nu=1.2),
+        beta=np.array([0.3]),
+    )
+
+
+class TestLockstepSweep:
+    def test_each_chain_gets_its_own_conditional_draw(self, monkeypatch):
+        # with the GIG draw replaced by b / a, every chain's mixing
+        # variables must be that value of its own conditional parameters,
+        # whatever the other chains in the joined call hold
+        calls = []
+
+        def stand_in(rng, p, a, b):
+            calls.append(p.size)
+            return b / a
+
+        monkeypatch.setattr(gibbs, "gig_sample_many", stand_in)
+        base = nig_both_model()
+        Y, _ = simulate(base, rng=np.random.default_rng(1))
+        theta = base.theta_natural()
+        theta[base.param_names.index("phi")] = -0.4
+        theta[base.param_names.index("nu")] = 3.0
+        gauss_w = assemble_model(
+            A=base.A, X=base.X, op=base.op, beta=base.beta,
+            noise_w=NoiseSpec("gaussian", sigma=1.1), noise_y=base.noise_y,
+        )
+        chains = [
+            GibbsChain(base, Y, np.random.default_rng(2)),
+            GibbsChain(base, Y, np.random.default_rng(3), theta=theta),
+            GibbsChain(gauss_w, Y, np.random.default_rng(4)),
+        ]
+        runs = lockstep_sweep(chains, 2, np.random.default_rng(5))
+        # per sweep: the two NIG process blocks, then all three measurement blocks
+        assert calls == [2 * base.n, 3 * base.m] * 2
+        for chain, (states, conds) in zip(chains, runs):
+            assert len(states) == len(conds) == 2
+            mdl, W = chain.model, states[-1].W
+            if mdl.noise_w.family == "gaussian":
+                np.testing.assert_array_equal(states[-1].V_W, mdl.noise_w.h)
+            else:
+                p, a, b = conditional_v_gig_params(mdl, None, W, Y)
+                np.testing.assert_array_equal(states[-1].V_W, b / a)
+            p, a, b = gibbs._gig_params(mdl.noise_y, Y - mdl.X @ mdl.beta - mdl.A @ W)
+            np.testing.assert_array_equal(states[-1].V_Y, b / a)
+        assert not np.array_equal(runs[0][0][-1].V_W, runs[1][0][-1].V_W)
+
+    @pytest.mark.parametrize("make_model", [nig_both_model, nig_ar1_model])
+    def test_one_chain_matches_a_loop_of_single_draws(self, make_model):
+        # the chain's own rng is the mixing stream: W, then V_W, then V_Y
+        model = make_model()
+        Y, _ = simulate(model, rng=np.random.default_rng(8))
+        states = GibbsChain(model, Y, np.random.default_rng(9)).sweep(4)
+        rng = np.random.default_rng(9)
+        V = (model.noise_w.h.copy(), np.ones(model.m))
+        for state in states:
+            W = sample_w(rng, model, None, V, Y)
+            V = sample_v(rng, model, None, W, Y)
+            assert np.array_equal(state.W, W)
+            assert np.array_equal(state.V_W, V[0])
+            assert np.array_equal(state.V_Y, V[1])

@@ -1,12 +1,15 @@
-"""Source hygiene of the package: every imported name is used, and every
-private module-level name is read somewhere in the package."""
+"""Source hygiene of the package: every imported name is used, every
+private module-level name is read somewhere in the package, and every
+name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nglatent"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # __init__.py imports names to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -120,3 +123,32 @@ def test_detects_an_unread_private_name():
         "a._left_over (line 5)",
         "a._spare (line 2)",
     ]
+
+
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_wraps_existing_names():
+    # perfbench/layers.py wraps package names where their callers look them
+    # up; a renamed or deleted one fails here, not in a traced benchmark run
+    import nglatent
+    from nglatent import _linalg, cli, distributions, gibbs, gradients, inference, model, operators
+
+    owners = [nglatent, _linalg.SpdFactor, cli, cli.RunConfig, distributions, gibbs,
+              gibbs.GibbsChain, gradients, inference, model.Model, operators]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = _load_perfbench("tracer").Tracer()
+    try:
+        _load_perfbench("layers").install(tracer, nglatent)
+        assert gibbs.GibbsChain.sweep is not before[owners.index(gibbs.GibbsChain)]["sweep"]
+        assert inference.rb_gradient is not before[owners.index(inference)]["rb_gradient"]
+    finally:
+        tracer.uninstall()
+    for owner, names in zip(owners, before):
+        after = vars(owner)
+        assert after.keys() == names.keys()
+        assert [k for k, v in names.items() if after[k] is not v] == [], owner

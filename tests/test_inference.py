@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import optimize, sparse
@@ -6,6 +8,7 @@ from nglatent.distributions import NoiseSpec
 from nglatent.errors import (
     FactorizationError,
     InputError,
+    NumericalError,
     OptimizationError,
     ParameterDomainError,
     SamplingError,
@@ -73,6 +76,13 @@ class TestTransforms:
             to_unconstrained(np.array([-1.0]), ("log",))
         with pytest.raises(ParameterDomainError):
             to_unconstrained(np.array([1.0]), ("stationary-logit",))
+
+    def test_overflow_names_the_parameter(self):
+        # exp overflows without a RuntimeWarning and raises instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterDomainError, match="parameter 1"):
+                to_natural(np.array([0.0, 800.0, 0.0]), TAGS)
 
 
 class TestRhat:
@@ -461,6 +471,61 @@ class TestMapFit:
         model = conjugate_toy()
         with pytest.raises(OptimizationError, match="bad start"):
             map_fit(model, np.zeros(model.m), FitOptions(chains=1, max_iters=3))
+
+
+def fail_at_gig_call(monkeypatch, fail_at, error):
+    """Make the fail_at-th GIG call of the Gibbs sweeps raise ``error``."""
+    import nglatent.gibbs as gibbs
+
+    draw, calls = gibbs.gig_sample_many, []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise error("injected")
+        return draw(*args)
+
+    monkeypatch.setattr(gibbs, "gig_sample_many", failing)
+
+
+class TestSharedSweepErrors:
+    """A failure in the sweep that all chains share keeps its mapping."""
+
+    def setup_method(self):
+        n = 30
+        self.model = assemble_model(
+            A=sparse.identity(n, format="csr"),
+            X=np.zeros((n, 0)),
+            op=ar1_operator(0.5, n),
+            noise_w=NoiseSpec("nig", sigma=1.0, mu=0.5, nu=1.0),
+            noise_y=NoiseSpec("gaussian", sigma=0.5),
+        )
+        self.Y, _ = simulate(self.model, rng=np.random.default_rng(6))
+        # one GIG call per sweep, two sweeps per step: MAP iteration t
+        # makes calls 2t - 1 and 2t, SGLD step t calls 8 + 2t - 1 and 8 + 2t
+        self.opts = FitOptions(chains=3, max_iters=4, min_iters=4, k=2, seed=2,
+                               checkpoint_every=2, sgld_samples=9)
+
+    @pytest.mark.parametrize("error", [NumericalError, ParameterDomainError])
+    def test_map_phase_ends_in_an_optimization_error(self, monkeypatch, error):
+        fail_at_gig_call(monkeypatch, 7, error)
+        with pytest.raises(OptimizationError, match="iteration 4") as ei:
+            map_fit(self.model, self.Y, self.opts)
+        assert isinstance(ei.value.__cause__, error)
+        assert [t.iteration for t in ei.value.traces] == [2]
+
+    @pytest.mark.parametrize("error", [NumericalError, ParameterDomainError])
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_sgld_phase_reports_the_last_kept_draw(self, monkeypatch, error, step):
+        posterior = map_fit(self.model, self.Y, self.opts).posterior
+        fail_at_gig_call(monkeypatch, 8 + 2 * step, error)
+        with pytest.raises(SamplingError, match=f"step {step}") as ei:
+            map_fit(self.model, self.Y, self.opts)
+        assert isinstance(ei.value.__cause__, error)
+        if step == 1:
+            assert ei.value.last_state is None
+        else:  # chain 0's draws lead the posterior rows
+            np.testing.assert_array_equal(ei.value.last_state, posterior[step - 2])
 
 
 def large_bivariate(d):
