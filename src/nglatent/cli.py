@@ -597,7 +597,7 @@ def run_diagnose(config: RunConfig, fit_dir=None):
     window = min(int(config.inference["window"]), len(iters))
     summary = {"checkpoints": len(iters), "chains": len(chains)}
     rhat_values = rhat(theta, window).values if len(chains) >= 2 and window >= 2 else None
-    drift = drift_check(theta, window) if window >= 3 else None
+    drift = drift_check(theta, window, iters) if window >= 3 else None
     summary.update(_rhat_drift_summary(param_names, rhat_values, drift, len(chains), window))
     summary["S_T_checkpoints"] = (
         float(np.mean([grad_inner_stat(g) for g in grads])) if len(iters) >= 2 else None

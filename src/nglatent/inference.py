@@ -1,27 +1,31 @@
 """Stochastic-gradient MAP estimation and Langevin posterior sampling.
 
 Estimation runs several independent chains from jittered starts.  Each
-chain owns a warm Gibbs state and its own rng.  One optimizer iteration
-advances all chains k Gibbs sweeps in lockstep (``gibbs.lockstep_sweep``:
-each chain draws W with its own rng, and one shared mixing stream draws
-the mixing variables of every chain in one GIG call per block kind);
-then each chain forms the (Rao-Blackwellized by default) gradient of the
-negative log-posterior at its own theta and applies a diagonally
-preconditioned step on the unconstrained scale.  Every
-``checkpoint_every`` iterations the coordinator records a trace row and
-evaluates three diagnostics: cross-chain agreement (Gelman-Rubin),
-within-chain stabilization (trend / relative variability of checkpoint
-means), and the accumulated inner products of consecutive gradients.
-When all three pass, the optimizer stops and (optionally) switches to
-the sampling phase
+chain owns a warm Gibbs state (a ``GibbsChain``) and its own rng; the
+chains' unconstrained iterates and ADAM moments are (chains, params)
+arrays.  One optimizer iteration advances all chains k Gibbs sweeps in
+lockstep (``gibbs.lockstep_sweep``: each chain draws W with its own rng,
+and one shared mixing stream draws the mixing variables of every chain
+in one GIG call per block kind); forms each chain's (Rao-Blackwellized
+by default) gradient of the negative log-posterior at its own theta;
+takes one diagonally preconditioned step of the whole array on the
+unconstrained scale; and pushes each chain's new theta into its model.
+Every ``checkpoint_every`` iterations the coordinator records a trace row
+and evaluates three diagnostics over (chains, checkpoints, params) and
+(chains, iterations, params) arrays: cross-chain agreement
+(Gelman-Rubin), within-chain stabilization (trend per iteration /
+relative variability of checkpoint means), and the accumulated inner
+products of consecutive gradients.  When all three pass, the optimizer
+stops and (optionally) switches to the sampling phase
 
     theta <- theta - gamma_t g(theta) + N(0, 2 gamma_t I),
 
 whose iterates, mapped back to the natural scale, are the posterior
-sample.  The sampling phase steps the chains in lockstep too.  The
-shared mixing stream of ``map_fit`` is the seed's child after the
-chains' own (``SeedSequence(seed).spawn(chains + 1)[-1]``); a single
-chain (``sgld_sample``) draws its mixing variables from its own rng.
+sample.  The sampling phase steps the chains in lockstep too, each chain
+drawing its noise from its own rng.  The shared mixing stream of
+``map_fit`` is the seed's child after the chains' own
+(``SeedSequence(seed).spawn(chains + 1)[-1]``); ``sgld_sample`` is the
+one-chain case, whose mixing stream is the chain's own rng.
 """
 
 from __future__ import annotations
@@ -75,17 +79,9 @@ class RhatResult:
         return np.asarray(self.values, dtype=dtype)
 
 
-def _as_theta_array(traces) -> np.ndarray:
-    """(chains, checkpoints, params) from trace rows or a raw array."""
-    if isinstance(traces, np.ndarray):
-        return traces
-    thetas = np.stack([t.theta for t in traces], axis=1)
-    return thetas
-
-
-def rhat(traces, window: int) -> RhatResult:
+def rhat(theta, window: int) -> RhatResult:
     """Between/within variance-ratio statistic per parameter over the
-    trailing window of checkpoints,
+    trailing window of a (chains, checkpoints, params) array,
 
         rhat = sqrt((W + B/m) / W),
 
@@ -93,7 +89,7 @@ def rhat(traces, window: int) -> RhatResult:
     m the window length.  Identical chains give exactly 1; chains stuck
     at different levels give values far above 1.  Chains with zero
     variance throughout are reported as 1 with a degeneracy flag."""
-    arr = _as_theta_array(traces)
+    arr = np.asarray(theta, dtype=float)
     if arr.ndim != 3 or arr.shape[0] < 2:
         raise InputError("rhat needs at least two chains")
     arr = arr[:, -window:, :]
@@ -132,26 +128,27 @@ class DriftReport:
 
 
 def drift_check(
-    traces,
+    theta,
     window: int,
+    iterations=None,
     slope_tol: float = 0.01,
     relvar_tol: float = 0.02,
     scale_floor: float = 0.5,
 ) -> DriftReport:
-    """Within-chain stabilization: OLS trend of checkpoint means plus
-    their relative variability over a trailing window.
+    """Within-chain stabilization of a (chains, checkpoints, params) array:
+    OLS trend of checkpoint means plus their relative variability over a
+    trailing window.
 
-    A parameter passes when |slope| * window-span and the standard
-    deviation of checkpoint means are both small relative to
-    max(|mean|, scale_floor).
+    The slope is per unit of ``iterations``, the checkpoints' iteration
+    numbers (default: the checkpoint index).  A parameter passes when
+    |slope| * window-span and the standard deviation of checkpoint means
+    are both small relative to max(|mean|, scale_floor).
     """
-    arr = _as_theta_array(traces)
-    if isinstance(traces, np.ndarray):
-        iters = np.arange(arr.shape[1], dtype=float)
-    else:
-        iters = np.array([t.iteration for t in traces], dtype=float)
+    arr = np.asarray(theta, dtype=float)
+    if iterations is None:
+        iterations = np.arange(arr.shape[1])
     arr = arr[:, -window:, :]
-    iters = iters[-window:]
+    iters = np.asarray(iterations, dtype=float)[-window:]
     if arr.shape[1] < 3:
         raise InputError("drift_check needs at least three checkpoints")
     y = arr.mean(axis=0)  # (checkpoints, params)
@@ -196,7 +193,9 @@ def _grad_corr(grad_history) -> float:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+RHAT_TOL = 1.05
 RHAT_SPREAD_FLOOR = 1e-6
+GRAD_CORR_TOL = 0.5
 GRAD_NORM_FLOOR = 1e-6
 
 
@@ -215,11 +214,6 @@ class FitOptions:
     jitter: float = 0.5
     theta0: Optional[np.ndarray] = None
     fixed: Tuple[str, ...] = ()
-    rhat_tol: float = 1.05
-    drift_slope_tol: float = 0.01
-    drift_relvar_tol: float = 0.02
-    drift_scale_floor: float = 0.5
-    grad_corr_tol: float = 0.5
     sgld_samples: int = 0
     sgld_step0: float = 2e-4
     sgld_tau: float = 200.0
@@ -287,86 +281,62 @@ def moment_start(model: Model, Y) -> np.ndarray:
     return theta
 
 
-class _ChainWorker:
-    """One optimization chain: private rng, Gibbs state, ADAM buffers, and
-    the states and conditionals of its latest k sweeps (``sweeps``), which
-    ``_sweep`` sets and the chain's next gradient reads."""
-
-    def __init__(self, model, Y, u0, tags, opts, seed, fixed_mask):
-        if opts.estimator not in ("rb", "mc"):
-            raise InputError(f"unknown estimator {opts.estimator!r}; expected 'rb' or 'mc'")
-        self.rng = np.random.default_rng(seed)
-        self.tags = tags
-        self.fixed = fixed_mask
-        jitter = opts.jitter * self.rng.standard_normal(u0.size)
-        jitter[fixed_mask] = 0.0
-        self.u = u0 + jitter
-        try:
-            self.gibbs = GibbsChain(model.with_theta(to_natural(self.u, tags)), Y, self.rng)
-        except (NumericalError, ParameterDomainError) as exc:
-            raise OptimizationError(f"chain initialization failed: {exc}") from exc
-        self.m = np.zeros(u0.size)
-        self.v = np.zeros(u0.size)
-        self.grads: List[np.ndarray] = []
-        self.opts = opts
-        self.last_grad = np.zeros(u0.size)
-        self.sweeps = None
-
-    def gradient(self) -> np.ndarray:
-        opts = self.opts
-        states, conds = self.sweeps
-        if opts.estimator == "rb":
-            rep = rb_gradient(self.gibbs.model, None, self.gibbs.Y, states, _conds=conds)
-        else:
-            rep = mc_gradient(self.gibbs.model, None, self.gibbs.Y, states)
-        g = rep.g
-        g[self.fixed] = 0.0
-        return g
-
-    def adam_step(self, t: int, gamma: float):
-        g = self.gradient()
-        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * g
-        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * g**2
-        mhat = self.m / (1 - ADAM_BETA1**t)
-        vhat = self.v / (1 - ADAM_BETA2**t)
-        self.u = self.u - gamma * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        self.last_grad = g
-        self.grads.append(g)
-
-    def sgld_step(self, gamma: float):
-        g = self.gradient()
-        noise = np.sqrt(2.0 * gamma) * self.rng.standard_normal(self.u.size)
-        noise[self.fixed] = 0.0
-        self.u = self.u - gamma * g + noise
-
-    def commit(self):
-        """Push the current iterate into the Gibbs chain's model."""
-        if not np.all(np.isfinite(self.u)):
-            raise NumericalError("non-finite iterate")
-        self.gibbs.set_theta(to_natural(self.u, self.tags))
-
-
-def _sweep(workers: Sequence[_ChainWorker], mix_rng):
-    """Advance every chain k Gibbs sweeps in lockstep, with ``mix_rng`` as
-    the shared mixing stream."""
-    chains = [w.gibbs for w in workers]
-    for w, run in zip(workers, lockstep_sweep(chains, workers[0].opts.k, mix_rng)):
-        w.sweeps = run
-
-
-def _map_step_size(t: int, opts: FitOptions) -> float:
-    if opts.decay_start is None or t <= opts.decay_start:
-        return opts.step0
-    return opts.step0 * (opts.decay_start / t) ** 0.51
-
-
-def _fixed_mask(model: Model, fixed: Sequence[str]) -> np.ndarray:
+def _check_options(model: Model, estimator: str, fixed: Sequence[str], **least) -> np.ndarray:
+    """The mask of the fixed parameters, after rejecting option values with
+    which no fit can run; ``least`` maps an option name to its value and
+    its least allowed value."""
+    if estimator not in ("rb", "mc"):
+        raise InputError(f"unknown estimator {estimator!r}; expected 'rb' or 'mc'")
+    for name, (value, minimum) in least.items():
+        if value < minimum:
+            raise InputError(f"{name} must be at least {minimum}, got {value}")
     mask = np.zeros(model.n_params, dtype=bool)
     for name in fixed:
         if name not in model.param_names:
             raise InputError(f"unknown fixed parameter {name!r}")
         mask[list(model.param_names).index(name)] = True
     return mask
+
+
+def _start(model: Model, Y, u0, jitter: float, fixed_mask, seeds):
+    """The jittered (chains, params) starts and a warm Gibbs chain at each;
+    chain c draws its jitter and its W from its own rng, seeded by
+    ``seeds[c]``."""
+    tags = model.transform_tags
+    u = np.empty((len(seeds), u0.size))
+    gibbs = []
+    try:
+        for c, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            shift = jitter * rng.standard_normal(u0.size)
+            shift[fixed_mask] = 0.0
+            u[c] = u0 + shift
+            gibbs.append(GibbsChain(model.with_theta(to_natural(u[c], tags)), Y, rng))
+    except (NumericalError, ParameterDomainError) as exc:
+        raise OptimizationError(f"chain initialization failed: {exc}") from exc
+    return u, gibbs
+
+
+def _gradient(chain: GibbsChain, run, estimator: str) -> np.ndarray:
+    """One chain's gradient estimate from the states and conditionals of
+    its latest k sweeps."""
+    states, conds = run
+    if estimator == "rb":
+        return rb_gradient(chain.model, None, chain.Y, states, _conds=conds).g
+    return mc_gradient(chain.model, None, chain.Y, states).g
+
+
+def _commit(chain: GibbsChain, u, tags):
+    """Push one chain's unconstrained iterate into its Gibbs model."""
+    if not np.all(np.isfinite(u)):
+        raise NumericalError("non-finite iterate")
+    chain.set_theta(to_natural(u, tags))
+
+
+def _map_step_size(t: int, opts: FitOptions) -> float:
+    if opts.decay_start is None or t <= opts.decay_start:
+        return opts.step0
+    return opts.step0 * (opts.decay_start / t) ** 0.51
 
 
 def map_fit(model: Model, Y, opts: FitOptions = None) -> FitResult:
@@ -377,6 +347,11 @@ def map_fit(model: Model, Y, opts: FitOptions = None) -> FitResult:
     iterates, mapped back to the natural scale.
     """
     opts = opts or FitOptions()
+    fixed_mask = _check_options(
+        model, opts.estimator, opts.fixed, chains=(opts.chains, 1), k=(opts.k, 1),
+        max_iters=(opts.max_iters, 0), checkpoint_every=(opts.checkpoint_every, 1),
+        sgld_thin=(opts.sgld_thin, 1),
+    )
     Y = np.asarray(Y, dtype=float)
     tags = model.transform_tags
     if opts.theta0 is None:
@@ -393,14 +368,12 @@ def map_fit(model: Model, Y, opts: FitOptions = None) -> FitResult:
             converged=False,
             n_iters=0,
         )
-    u0 = to_unconstrained(theta0, tags)
-    fixed_mask = _fixed_mask(model, opts.fixed)
     seeds = np.random.SeedSequence(opts.seed).spawn(opts.chains + 1)
     mix_rng = np.random.default_rng(seeds[-1])
-    workers = [
-        _ChainWorker(model, Y, u0, tags, opts, seeds[c], fixed_mask)
-        for c in range(opts.chains)
-    ]
+    u, gibbs = _start(model, Y, to_unconstrained(theta0, tags), opts.jitter, fixed_mask, seeds[:-1])
+    m = np.zeros_like(u)
+    v = np.zeros_like(u)
+    grads: List[np.ndarray] = []  # one (chains, params) row per iteration
 
     traces: List[CheckpointTrace] = []
     converged = False
@@ -411,42 +384,40 @@ def map_fit(model: Model, Y, opts: FitOptions = None) -> FitResult:
         t += 1
         gamma = _map_step_size(t, opts)
         try:
-            _sweep(workers, mix_rng)
-            for wkr in workers:
-                wkr.adam_step(t, gamma)
-                wkr.commit()
+            runs = lockstep_sweep(gibbs, opts.k, mix_rng)
+            g = np.array([_gradient(ch, run, opts.estimator) for ch, run in zip(gibbs, runs)])
+            g[:, fixed_mask] = 0.0
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g**2
+            mhat = m / (1 - ADAM_BETA1**t)
+            vhat = v / (1 - ADAM_BETA2**t)
+            u = u - gamma * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            for ch, row in zip(gibbs, u):
+                _commit(ch, row, tags)
         except (NumericalError, ParameterDomainError) as exc:
             raise OptimizationError(
                 f"divergent trajectory at iteration {t}: {exc}", traces=traces
             ) from exc
+        grads.append(g)
         if t % opts.checkpoint_every == 0:
-            traces.append(
-                CheckpointTrace(
-                    iteration=t,
-                    theta=np.stack([w.u for w in workers]),
-                    grad=np.stack([w.last_grad for w in workers]),
-                    step=gamma,
-                )
-            )
+            traces.append(CheckpointTrace(iteration=t, theta=u, grad=g, step=gamma))
             if len(traces) >= opts.window and t >= opts.min_iters:
                 diagnostics = _evaluate_diagnostics(
-                    traces, workers, opts, fixed_mask, window_iters
+                    traces, grads[-window_iters:], opts.window, fixed_mask
                 )
                 if diagnostics["all_passed"]:
                     converged = True
                     break
     if not diagnostics and traces:
-        diagnostics = _evaluate_diagnostics(
-            traces, workers, opts, fixed_mask, window_iters
-        )
-    u_final = np.mean([w.u for w in workers], axis=0)
-    theta_map = to_natural(u_final, tags)
+        diagnostics = _evaluate_diagnostics(traces, grads[-window_iters:], opts.window, fixed_mask)
+    theta_map = to_natural(np.mean(u, axis=0), tags)
 
     posterior = None
     if opts.sgld_samples > 0:
         per_chain = math.ceil(opts.sgld_samples / opts.chains)
         posterior = _sgld_chains(
-            workers, mix_rng, per_chain, opts.sgld_step0, opts.sgld_tau, opts.sgld_thin, tags
+            gibbs, u, mix_rng, per_chain, opts.sgld_step0, opts.sgld_tau, opts.sgld_thin,
+            opts.k, opts.estimator, fixed_mask,
         )[: opts.sgld_samples]
 
     diagnostics["converged"] = converged
@@ -461,59 +432,43 @@ def map_fit(model: Model, Y, opts: FitOptions = None) -> FitResult:
     )
 
 
-def _evaluate_diagnostics(traces, workers, opts, fixed_mask, window_iters):
+def _evaluate_diagnostics(traces, grads, window, fixed_mask):
+    """The convergence checks over the trailing ``window`` checkpoints and
+    the gradient rows ``grads``, one (chains, params) row per iteration."""
     free = ~fixed_mask
+    theta = np.stack([tr.theta for tr in traces], axis=1)  # (chains, checkpoints, params)
+    hist = np.stack(grads, axis=1)  # (chains, iterations, params)
     out = {}
-    window = min(opts.window, len(traces))
-    if len(workers) >= 2 and window >= 2:
-        rr = rhat(traces, window)
+    window = min(window, len(traces))
+    if theta.shape[0] >= 2 and window >= 2:
+        rr = rhat(theta, window)
         out["rhat"] = rr.values
         out["rhat_degenerate"] = rr.degenerate
         # deterministic (noise-free) trajectories collapse the within-chain
         # variance; chains whose means already coincide to an absolute
         # floor count as agreeing even when the variance ratio is extreme
-        arr = _as_theta_array(traces)[:, -window:, :]
-        means = arr.mean(axis=1)
+        means = theta[:, -window:, :].mean(axis=1)
         spread = means.max(axis=0) - means.min(axis=0)
         scale = np.maximum(1.0, np.abs(means).max(axis=0))
         agree = spread <= RHAT_SPREAD_FLOOR * scale
-        ok = (rr.values < opts.rhat_tol) | rr.degenerate | agree
+        ok = (rr.values < RHAT_TOL) | rr.degenerate | agree
         rhat_ok = bool(np.all(ok[free]))
     else:
         out["rhat"] = None
         rhat_ok = True
     if window >= 3:
-        drift = drift_check(
-            traces,
-            window,
-            slope_tol=opts.drift_slope_tol,
-            relvar_tol=opts.drift_relvar_tol,
-            scale_floor=opts.drift_scale_floor,
-        )
+        drift = drift_check(theta, window, [tr.iteration for tr in traces])
         out["drift"] = drift
         drift_ok = bool(np.all(drift.passed[free]))
     else:
         out["drift"] = None
         drift_ok = False
-    corrs = []
-    s_ts = []
-    for w in workers:
-        hist = np.asarray(w.grads[-window_iters:])
-        if hist.shape[0] >= 2:
-            corrs.append(_grad_corr(hist))
-            s_ts.append(grad_inner_stat(hist))
-    out["grad_corr"] = np.array(corrs)
-    out["S_T"] = float(np.mean(s_ts)) if s_ts else None
-    rms = [
-        float(np.sqrt(np.mean(np.asarray(w.grads[-window_iters:]) ** 2)))
-        for w in workers
-    ]
-    out["grad_rms"] = np.array(rms)
+    two = hist.shape[1] >= 2
+    out["grad_corr"] = np.array([_grad_corr(h) for h in hist] if two else [])
+    out["S_T"] = float(np.mean([grad_inner_stat(h) for h in hist])) if two else None
+    out["grad_rms"] = np.array([float(np.sqrt(np.mean(h**2))) for h in hist])
     grad_ok = bool(
-        np.all(
-            (np.abs(out["grad_corr"]) < opts.grad_corr_tol)
-            | (out["grad_rms"] < GRAD_NORM_FLOOR)
-        )
+        np.all((np.abs(out["grad_corr"]) < GRAD_CORR_TOL) | (out["grad_rms"] < GRAD_NORM_FLOOR))
     )
     out["all_passed"] = rhat_ok and drift_ok and grad_ok
     out["checks"] = {"rhat": rhat_ok, "drift": drift_ok, "grad": grad_ok}
@@ -525,12 +480,14 @@ def _evaluate_diagnostics(traces, workers, opts, fixed_mask, window_iters):
 # ---------------------------------------------------------------------------
 
 
-def _sgld_chains(workers, mix_rng, n_keep, step0, tau, thin, tags):
-    """n_keep kept SGLD draws per chain, the chains stepped in lockstep;
-    rows hold chain 0's draws first.  A failure carries the failing
-    chain's last kept draw; a failure in the shared sweep, which every
-    chain takes part in, carries chain 0's."""
-    samples = np.empty((len(workers), n_keep, workers[0].u.size))
+def _sgld_chains(gibbs, u, mix_rng, n_keep, step0, tau, thin, k, estimator, fixed_mask):
+    """n_keep kept SGLD draws per chain from the (chains, params) iterates
+    ``u``, the chains stepped in lockstep; rows hold chain 0's draws first.
+    Each chain draws its noise from its own rng.  A failure carries the
+    failing chain's last kept draw; a failure in the shared sweep, which
+    every chain takes part in, carries chain 0's."""
+    tags = gibbs[0].model.transform_tags
+    samples = np.empty((len(gibbs), n_keep, u.shape[1]))
     t = 0
     for s in range(n_keep):
         for _ in range(thin):
@@ -538,16 +495,24 @@ def _sgld_chains(workers, mix_rng, n_keep, step0, tau, thin, tags):
             gamma = step0 * (1.0 + t / tau) ** (-0.51)
             c = 0
             try:
-                _sweep(workers, mix_rng)
-                for c, wkr in enumerate(workers):
-                    wkr.sgld_step(gamma)
-                    wkr.commit()
+                runs = lockstep_sweep(gibbs, k, mix_rng)
+                g = np.empty_like(u)
+                for c, (ch, run) in enumerate(zip(gibbs, runs)):
+                    g[c] = _gradient(ch, run, estimator)
+                g[:, fixed_mask] = 0.0
+                noise = np.sqrt(2.0 * gamma) * np.array(
+                    [ch.rng.standard_normal(u.shape[1]) for ch in gibbs]
+                )
+                noise[:, fixed_mask] = 0.0
+                u = u - gamma * g + noise
+                for c, (ch, row) in enumerate(zip(gibbs, u)):
+                    _commit(ch, row, tags)
             except (NumericalError, ParameterDomainError) as exc:
                 last = to_natural(samples[c, s - 1], tags) if s > 0 else None
                 raise SamplingError(
                     f"divergent SGLD trajectory at step {t}: {exc}", last_state=last
                 ) from exc
-        samples[:, s] = [w.u for w in workers]
+        samples[:, s] = u
     return to_natural(samples.reshape(-1, samples.shape[2]).T, tags).T
 
 
@@ -556,19 +521,18 @@ def sgld_sample(model: Model, Y, theta0, opts: SgldOptions = None) -> np.ndarray
 
     Iterates live on the unconstrained scale with injected noise of
     variance exactly 2 gamma_t per coordinate; the returned samples are
-    on the natural scale, one row per kept draw.
+    on the natural scale, one row per kept draw.  This is the one-chain
+    case of the sampling phase of ``map_fit``, with the chain's own rng
+    as the mixing stream.
     """
     opts = opts or SgldOptions()
+    fixed_mask = _check_options(
+        model, opts.estimator, opts.fixed, k=(opts.k, 1), thin=(opts.thin, 1)
+    )
     Y = np.asarray(Y, dtype=float)
-    tags = model.transform_tags
-    fit_opts = FitOptions(
-        k=opts.k, estimator=opts.estimator, jitter=0.0, fixed=opts.fixed
-    )
-    fixed_mask = _fixed_mask(model, opts.fixed)
-    u0 = to_unconstrained(np.asarray(theta0, float), tags)
-    worker = _ChainWorker(
-        model, Y, u0, tags, fit_opts, np.random.SeedSequence(opts.seed), fixed_mask
-    )
+    u0 = to_unconstrained(np.asarray(theta0, float), model.transform_tags)
+    u, gibbs = _start(model, Y, u0, 0.0, fixed_mask, [np.random.SeedSequence(opts.seed)])
     return _sgld_chains(
-        [worker], worker.rng, opts.n_samples, opts.step0, opts.tau, opts.thin, tags
+        gibbs, u, gibbs[0].rng, opts.n_samples, opts.step0, opts.tau, opts.thin,
+        opts.k, opts.estimator, fixed_mask,
     )

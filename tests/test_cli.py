@@ -198,6 +198,17 @@ class TestFit:
         assert main(["fit", "--config", str(path)]) == EXIT_CONFIG
         assert not (tmp_path / "out" / "estimates.csv").exists()
 
+    @pytest.mark.parametrize(
+        "key, value", [("chains", 0), ("checkpoint_every", 0), ("sgld_thin", 0), ("max_iters", -1)]
+    )
+    def test_invalid_option_exit_code(self, tmp_path, key, value):
+        raw = base_config(tmp_path, n=20, max_iters=10, sgld=5)
+        raw["inference"][key] = value
+        path = write_config(tmp_path, raw)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert main(["fit", "--config", str(path)]) == EXIT_CONFIG
+        assert not (tmp_path / "out" / "estimates.csv").exists()
+
 
 class TestPredict:
     def test_quantile_columns_and_determinism(self, tmp_path):
@@ -326,6 +337,20 @@ class TestDiagnose:
         assert set(summary["rhat"]) == {"sigma_eps", "sigma", "phi"}
         assert np.isfinite(summary["S_T_checkpoints"])
 
+
+    def test_drift_slopes_match_the_fit(self, tmp_path):
+        # both report the slope per iteration, not per checkpoint
+        raw = base_config(tmp_path, n=40, max_iters=60)
+        raw["inference"]["checkpoint_every"] = 10
+        cfg = RunConfig.from_dict(raw)
+        run_simulate(cfg, out_dir=tmp_path)
+        _, paths = run_fit(cfg)
+        fit_drift = yaml.safe_load(paths["diagnostics"].read_text())["drift"]
+        drift = run_diagnose(cfg)["drift"]
+        assert drift.keys() == fit_drift.keys() == {"sigma_eps", "sigma", "phi"}
+        for name, entry in fit_drift.items():
+            assert abs(drift[name]["slope"] - entry["slope"]) <= 1e-12
+            assert drift[name]["passed"] == entry["passed"]
 
     @pytest.mark.parametrize("max_iters, checkpoints", [(10, 1), (5, 0)])
     def test_short_trace(self, tmp_path, max_iters, checkpoints):

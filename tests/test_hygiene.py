@@ -1,12 +1,15 @@
 """Source hygiene of the package: every imported name is used, every
-private module-level name is read somewhere in the package, and every
-name the benchmark's tracer wraps exists."""
+private module-level name is read somewhere in the package, every name
+the benchmark's tracer wraps exists, and the fit still calls through the
+wrapped gradient."""
 
 import ast
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nglatent"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -152,3 +155,35 @@ def test_benchmark_tracer_wraps_existing_names():
         after = vars(owner)
         assert after.keys() == names.keys()
         assert [k for k, v in names.items() if after[k] is not v] == [], owner
+
+
+def test_benchmark_tracer_sees_every_fit_gradient():
+    # the benchmark's per-layer gradient metrics read the wrapped
+    # inference.rb_gradient; a fit that stops calling through it would
+    # report zero gradient calls and time
+    import nglatent
+    from nglatent.distributions import NoiseSpec
+    from nglatent.model import assemble_model, simulate
+    from nglatent.operators import ar1_operator
+
+    n = 20
+    model = assemble_model(
+        A=sparse.identity(n, format="csr"),
+        X=np.zeros((n, 0)),
+        op=ar1_operator(0.5, n),
+        noise_w=NoiseSpec("nig", sigma=1.0, mu=0.5, nu=1.0),
+        noise_y=NoiseSpec("gaussian", sigma=0.5),
+    )
+    Y, _ = simulate(model, rng=np.random.default_rng(1))
+    chains, iters = 2, 3
+    tracer = _load_perfbench("tracer").Tracer()
+    layers = _load_perfbench("layers")
+    try:
+        layers.install(tracer, nglatent)
+        nglatent.map_fit(
+            model, Y, nglatent.FitOptions(chains=chains, max_iters=iters, min_iters=iters, k=2)
+        )
+    finally:
+        tracer.uninstall()
+    metrics = layers.metrics(tracer, 0.0, 0.0, 0.0, 0.0)
+    assert metrics["gradients.rb_calls"] == chains * iters

@@ -460,6 +460,37 @@ class TestMapFit:
         with pytest.raises(InputError, match="estimator"):
             sgld_sample(model, Y, model.theta_natural(), SgldOptions(n_samples=2, estimator=estimator))
 
+    @pytest.mark.parametrize(
+        "options, field, value",
+        [
+            (FitOptions, "chains", 0),
+            (FitOptions, "checkpoint_every", 0),
+            (FitOptions, "sgld_thin", 0),
+            (FitOptions, "max_iters", -1),
+            (FitOptions, "k", 0),
+            (FitOptions, "estimator", "bogus"),
+            (FitOptions, "fixed", ("nope",)),
+            (SgldOptions, "thin", 0),
+            (SgldOptions, "k", 0),
+            (SgldOptions, "fixed", ("nope",)),
+        ],
+    )
+    def test_option_values_that_cannot_run(self, monkeypatch, options, field, value):
+        # rejected before any work: no chain is built, also at max_iters = 0
+        import nglatent.inference as inference
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a chain was built")
+
+        monkeypatch.setattr(inference, "GibbsChain", unbuilt)
+        model = conjugate_toy()
+        Y = np.zeros(model.m)
+        with pytest.raises(InputError, match=field):
+            if options is FitOptions:
+                map_fit(model, Y, FitOptions(**{"max_iters": 0, field: value}))
+            else:
+                sgld_sample(model, Y, model.theta_natural(), SgldOptions(**{field: value}))
+
     @pytest.mark.parametrize("error", [ParameterDomainError, FactorizationError])
     def test_chain_start_failure_is_an_optimization_error(self, monkeypatch, error):
         import nglatent.inference as inference
@@ -489,7 +520,8 @@ def fail_at_gig_call(monkeypatch, fail_at, error):
 
 
 class TestSharedSweepErrors:
-    """A failure in the sweep that all chains share keeps its mapping."""
+    """A failure in the sweep that all chains share, or in one chain's
+    step, keeps its mapping."""
 
     def setup_method(self):
         n = 30
@@ -526,6 +558,27 @@ class TestSharedSweepErrors:
             assert ei.value.last_state is None
         else:  # chain 0's draws lead the posterior rows
             np.testing.assert_array_equal(ei.value.last_state, posterior[step - 2])
+
+    @pytest.mark.parametrize("chain", [1, 2])
+    def test_sgld_failure_in_one_chain_reports_its_last_draw(self, monkeypatch, chain):
+        # one gradient per chain and iteration: 4 MAP iterations of 3 chains
+        # make calls 1-12, and chain c's gradient at SGLD step t is call
+        # 12 + 3 (t - 1) + c + 1; each chain keeps 3 of the 9 draws
+        import nglatent.inference as inference
+
+        posterior = map_fit(self.model, self.Y, self.opts).posterior
+        gradient, calls = inference.rb_gradient, []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 12 + 3 * 2 + chain + 1:
+                raise NumericalError("injected")
+            return gradient(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "rb_gradient", failing)
+        with pytest.raises(SamplingError, match="step 3") as ei:
+            map_fit(self.model, self.Y, self.opts)
+        np.testing.assert_array_equal(ei.value.last_state, posterior[3 * chain + 1])
 
 
 def large_bivariate(d):
@@ -569,11 +622,21 @@ class TestSgld:
         assert np.all(samples == samples[0])
 
     def test_injected_noise_variance(self, monkeypatch):
-        # with the gradient stubbed to zero, increments are N(0, 2 gamma)
+        # with the gradient stubbed to zero, increments are N(0, 2 gamma);
+        # the Gibbs sweeps, whose draws the stub ignores, are stubbed too
+        from types import SimpleNamespace
+
         from nglatent import inference as inf
 
         monkeypatch.setattr(
-            inf._ChainWorker, "gradient", lambda self: np.zeros(self.u.size)
+            inf, "lockstep_sweep", lambda chains, k, rng: [(None, None)] * len(chains)
+        )
+        monkeypatch.setattr(
+            inf,
+            "rb_gradient",
+            lambda model, theta, Y, states, _conds=None: SimpleNamespace(
+                g=np.zeros(model.n_params)
+            ),
         )
         model = conjugate_toy()
         Y = np.zeros(4)
@@ -598,15 +661,16 @@ class TestSgld:
         theta0 = np.array([2.0, 0.5, 1.0, 0.5])
         opts = SgldOptions(n_samples=4, step0=1e-3, thin=thin, seed=3)
         kept = sgld_sample(model, Y, theta0, opts)
-        step, calls = inf._ChainWorker.sgld_step, []
+        # one chain: one gradient per step
+        gradient, calls = inf.rb_gradient, []
 
-        def failing(self, gamma):
-            calls.append(gamma)
+        def failing(*args, **kwargs):
+            calls.append(1)
             if len(calls) == fail_at:
                 raise ParameterDomainError("injected")
-            step(self, gamma)
+            return gradient(*args, **kwargs)
 
-        monkeypatch.setattr(inf._ChainWorker, "sgld_step", failing)
+        monkeypatch.setattr(inf, "rb_gradient", failing)
         with pytest.raises(SamplingError, match=f"step {fail_at}") as ei:
             sgld_sample(model, Y, theta0, opts)
         n_kept = (fail_at - 1) // thin
