@@ -198,8 +198,20 @@ class TestFit:
         assert main(["fit", "--config", str(path)]) == EXIT_CONFIG
         assert not (tmp_path / "out" / "estimates.csv").exists()
 
+    def test_one_iteration_fit_exit_code(self, tmp_path):
+        # one gradient row per chain leaves the gradient check unavailable
+        raw = base_config(tmp_path, n=20, max_iters=1)
+        raw["inference"].update(min_iters=0, checkpoint_every=1)
+        path = write_config(tmp_path, raw)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert main(["fit", "--config", str(path)]) == EXIT_NONCONVERGED
+        diag = yaml.safe_load((tmp_path / "out" / "diagnostics.yaml").read_text())
+        assert diag["converged"] is False and diag["iterations"] == 1
+
     @pytest.mark.parametrize(
-        "key, value", [("chains", 0), ("checkpoint_every", 0), ("sgld_thin", 0), ("max_iters", -1)]
+        "key, value",
+        [("chains", 0), ("checkpoint_every", 0), ("sgld_thin", 0), ("max_iters", -1),
+         ("window", 2), ("sgld_samples", -1)],
     )
     def test_invalid_option_exit_code(self, tmp_path, key, value):
         raw = base_config(tmp_path, n=20, max_iters=10, sgld=5)

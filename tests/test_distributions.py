@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
+
+from nglatent import distributions
 
 from nglatent.distributions import (
     GigParams,
@@ -168,6 +172,114 @@ class TestGigSample:
     def test_scalar_draw(self):
         x = gig_sample(np.random.default_rng(0), GigParams(1.0, 2.0, 3.0))
         assert isinstance(x, float) and x > 0
+
+
+class TestOrderMinusOneSampler:
+    """GIG(-1, a, b), the law of every NIG mixing variable given W and Y,
+    drawn by rejection from an inverse-Gaussian proposal."""
+
+    @pytest.mark.parametrize("omega, seed", [(1e-3, 31), (1.0, 32), (30.0, 33), (1e3, 34)])
+    def test_distribution_matches_density(self, omega, seed):
+        # KS test at alpha = 0.001; sqrt(b/a) = 2 puts the law off unit scale
+        g = GigParams(-1.0, omega / 2.0, 2.0 * omega)
+        d = gig_sample_many(np.random.default_rng(seed), g.p, g.a, g.b, size=(100000,))
+        assert ks_distance(d, g) < 1.949 / np.sqrt(100000)
+
+    @pytest.mark.parametrize(
+        "g, seed", [(GigParams(-1.0, 1.0, 0.01), 41), (GigParams(-1.0, 2.0, 30.0), 42),
+                    (GigParams(-1.0, 5.0, 0.2), 43)], ids=str,
+    )
+    def test_moments(self, g, seed):
+        d = gig_sample_many(np.random.default_rng(seed), g.p, g.a, g.b, size=(100000,))
+        mean, inv_mean = gig_moments(g)
+        for draws, expected in ((d, mean), (1.0 / d, inv_mean)):
+            se = draws.std() / np.sqrt(draws.size)
+            assert abs(draws.mean() - expected) < 4 * se
+
+    EXTREMES = [(a, b) for a in (1e-12, 1.0, 1e12) for b in (1e-30, 1.0, 1e30)]
+
+    @pytest.mark.parametrize("a, b", EXTREMES)
+    def test_extreme_parameters_give_finite_draws(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = gig_sample_many(np.random.default_rng(51), -1.0, a, b, size=(2000,))
+        assert np.all(np.isfinite(d)) and np.all(d > 0)
+
+    def test_extreme_parameters_in_one_call(self):
+        a, b = (np.repeat(x, 500) for x in zip(*self.EXTREMES))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = gig_sample_many(np.random.default_rng(52), -1.0, a, b)
+        assert d.shape == (4500,)
+        assert np.all(np.isfinite(d)) and np.all(d > 0)
+
+    @pytest.mark.parametrize("a, b", [(1e-3, 1e-30), (1.0, 1e-25), (1e-6, 1e-18)])
+    def test_below_the_guard_takes_the_devroye_path(self, a, b):
+        omega = np.sqrt(a * b)
+        assert omega < distributions._WALD_MIN_OMEGA
+        d = gig_sample_many(np.random.default_rng(61), -1.0, a, b, size=(300,))
+        z = distributions._devroye_gig2(np.random.default_rng(61), 1.0, omega, (300,))
+        assert np.array_equal(d, 1.0 / z * np.sqrt(b / a))
+
+    def test_above_the_guard_skips_the_devroye_path(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("Devroye's sampler was called")
+
+        monkeypatch.setattr(distributions, "_devroye_gig2", unused)
+        omega = np.geomspace(distributions._WALD_MIN_OMEGA, 1e12, 50)
+        d = gig_sample_many(np.random.default_rng(62), -1.0, omega, omega)
+        assert np.all(np.isfinite(d)) and np.all(d > 0)
+
+
+class TestLargeBesselArgument:
+    """scipy's kve is NaN from an argument of about 5e9 on; the
+    large-argument expansion of K_p takes over there."""
+
+    @staticmethod
+    def log_kv_reference(p, x):
+        # two terms of the expansion; the next is O(x^-2), below 1e-20 here
+        return 0.5 * np.log(np.pi / (2.0 * x)) - x + np.log1p((4.0 * p * p - 1.0) / (8.0 * x))
+
+    @pytest.mark.parametrize("p", [-1.5, -1.0, -0.5, 0.0, 0.7, 2.5])
+    def test_moments_match_the_expansion(self, p):
+        # K_{p+1}(w) / K_p(w) = 1 + (2p + 1) / 2w + O(w^-2)
+        omega = 1e12
+        mean, inv_mean = gig_moments(GigParams(p, omega, omega))
+        ratio = 1.0 + (2.0 * p + 1.0) / (2.0 * omega)
+        assert mean == pytest.approx(ratio, rel=1e-15)
+        assert inv_mean == pytest.approx(ratio - 2.0 * p / omega, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [-1.5, -0.5, 0.0, 2.5])
+    def test_log_density_matches_the_expansion(self, p):
+        omega = 1e12
+        ref = -np.log(2.0) - self.log_kv_reference(p, omega) - omega
+        # the density's exponent cancels omega, so the absolute error is
+        # about omega times the rounding unit
+        assert gig_logpdf(1.0, GigParams(p, omega, omega)) == pytest.approx(ref, abs=1e-3)
+
+    def test_noise_log_density_at_a_far_outlier(self):
+        spec = NoiseSpec("nig", sigma=1.0, mu=0.5, nu=1.0, h=None)
+        x = 1e12
+        big_a = 1.0 + 0.25
+        big_b = 1.0 + (x + 0.5) ** 2
+        omega = np.sqrt(big_a * big_b)
+        # K_{-1/2}(1) = sqrt(pi / 2) e^-1 in the normalizer of GIG(-1/2, 1, 1)
+        ref = (
+            -np.log(2.0) - (0.5 * np.log(np.pi / 2.0) - 1.0)
+            - 0.5 * np.log(2.0 * np.pi) + 0.5 * (x + 0.5) + np.log(2.0)
+            - 0.5 * (np.log(big_b) - np.log(big_a)) + self.log_kv_reference(-1.0, omega)
+        )
+        # both sides carry rounding of order omega times the rounding unit
+        assert noise_logpdf(spec, x) == pytest.approx(ref, abs=1e-3)
+
+    @pytest.mark.parametrize("p", [-1.0, -0.5, 0.0, 2.5])
+    def test_continuous_with_the_scaled_bessel_at_1e8(self, p):
+        omega = 1e8
+        ratio = special.kve(p + 1.0, omega) / special.kve(p, omega)
+        mean, _ = gig_moments(GigParams(p, omega, omega))
+        assert mean == pytest.approx(ratio, rel=1e-14)
+        logkv = np.log(special.kve(p, omega)) - omega
+        assert distributions._log_kv(p, omega) == pytest.approx(logkv, rel=1e-14)
 
 
 class TestMixingPrior:

@@ -187,3 +187,34 @@ def test_benchmark_tracer_sees_every_fit_gradient():
         tracer.uninstall()
     metrics = layers.metrics(tracer, 0.0, 0.0, 0.0, 0.0)
     assert metrics["gradients.rb_calls"] == chains * iters
+
+
+def test_benchmark_tracer_sees_every_gig_draw():
+    # the benchmark's per-layer GIG metrics read the wrapped
+    # gig_sample_many; a sweep that stopped calling through it would report
+    # zero draws and time
+    import nglatent
+    from nglatent.distributions import NoiseSpec
+    from nglatent.gibbs import gibbs_run
+    from nglatent.model import assemble_model, simulate
+    from nglatent.operators import ar1_operator
+
+    n, sweeps = 20, 5
+    model = assemble_model(
+        A=sparse.identity(n, format="csr"),
+        X=np.zeros((n, 0)),
+        op=ar1_operator(0.5, n),
+        noise_w=NoiseSpec("nig", sigma=1.0, mu=0.5, nu=1.0),
+        noise_y=NoiseSpec("gaussian", sigma=0.5),
+    )
+    Y, _ = simulate(model, rng=np.random.default_rng(1))
+    tracer = _load_perfbench("tracer").Tracer()
+    layers = _load_perfbench("layers")
+    try:
+        layers.install(tracer, nglatent)
+        gibbs_run(np.random.default_rng(2), model, None, Y, iters=sweeps, burnin=0)
+    finally:
+        tracer.uninstall()
+    metrics = layers.metrics(tracer, 0.0, 0.0, 0.0, 0.0)
+    assert metrics["distributions.gig_draws"] == n * sweeps
+    assert metrics["distributions.gig_s"] > 0

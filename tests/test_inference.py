@@ -249,6 +249,26 @@ class TestMapFit:
         assert np.array_equal(fit.theta_map, theta0)
         assert fit.n_iters == 0 and not fit.converged
 
+    def test_one_gradient_row_leaves_the_gradient_check_unavailable(self):
+        # a fit that stops after one iteration has one gradient row per
+        # chain and so no lag-one correlation: it returns unconverged
+        n = 10
+        model = assemble_model(
+            A=sparse.identity(n, format="csr"),
+            X=np.zeros((n, 0)),
+            op=ar1_operator(0.4, n),
+            noise_w=NoiseSpec("gaussian", sigma=1.0),
+            noise_y=NoiseSpec("gaussian", sigma=1.0),
+        )
+        Y, _ = simulate(model, rng=np.random.default_rng(8))
+        fit = map_fit(
+            model, Y, FitOptions(chains=2, max_iters=1, min_iters=0, checkpoint_every=1, k=1)
+        )
+        assert fit.n_iters == 1 and not fit.converged
+        assert fit.diagnostics["checks"]["grad"] is False
+        assert fit.diagnostics["grad_corr"].size == 0
+        assert fit.diagnostics["grad_rms"].shape == (2,)
+
     def test_divergence_raises_with_traces(self):
         n = 12
         model = assemble_model(
@@ -473,6 +493,9 @@ class TestMapFit:
             (SgldOptions, "thin", 0),
             (SgldOptions, "k", 0),
             (SgldOptions, "fixed", ("nope",)),
+            (FitOptions, "window", 2),
+            (FitOptions, "sgld_samples", -1),
+            (SgldOptions, "n_samples", -1),
         ],
     )
     def test_option_values_that_cannot_run(self, monkeypatch, options, field, value):
