@@ -1,16 +1,17 @@
 """Banded factorization of the latent conditional precision.
 
 The precision of W | V, Y is Q = K' D_w^-1 K + A' D_y^-1 A.  Its sparsity
-is that of K'K + A'A, which does not depend on the parameters, so a
-``StructurePlan`` built once per pattern of K, dK and A holds
+is that of K'K + A'A.  An operator stores K and every dK on one pattern
+fixed when it is built, so a ``StructurePlan`` built once per model from
+the stored patterns of K and A holds
 
 * a band order of the latent nodes: reverse Cuthill-McKee (Cuthill &
   McKee 1969) on the pattern of K'K + A'A, kept only when it narrows
   the bandwidth (Rue & Held 2005, section 2.4.3), the natural order
   otherwise;
-* the pairs of stored entries that share a row of K, of A, and of each
-  dK with K, each mapped to its place in Q's upper band and in the
-  covariance band, in that order.
+* the pairs of stored entries that share a row of K, and of A, each
+  mapped to its place in Q's upper band and in the covariance band, in
+  that order; K's pairs also serve each dK with K.
 
 Each draw then assembles Q's band with one ``bincount`` over the pairs
 and factors it with a banded Cholesky Q = U'U; every model takes this
@@ -34,8 +35,6 @@ here: each operator supplies them from its own structure
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -83,6 +82,11 @@ def _inverse(order: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Structure plan
 # ---------------------------------------------------------------------------
+
+
+def entry_rows(M) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix."""
+    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
 
 
 def _row_pairs(M1, M2):
@@ -147,32 +151,27 @@ def _band_order(K, A) -> np.ndarray:
 
 
 class StructurePlan:
-    """Index maps from the stored patterns of K, its derivatives dK and
-    the observation map A (all CSR) to Q's band and to the covariance
-    band, in a band order of the latent nodes.
+    """Index maps from the stored patterns of K and of the observation map
+    A (both CSR) to Q's band and to the covariance band, in a band order
+    of the latent nodes.
 
-    The maps address positions in ``.data``, so a plan is valid only for
-    the patterns it was built from: a parameter value that drops or adds
-    a stored entry (phi = 0 in an AR(1), say) needs a new plan, which
-    ``fits`` detects.  Attributes: ``order`` (order[k] is the natural
-    index of band position k), ``bandwidth`` of Q in that order, and
-    ``width``, the largest distance in band order between two entries of
-    one row of K, dK or A, which the gradient's quadratic forms need.
+    The maps address positions in ``.data``, so a plan serves every matrix
+    stored on those patterns: K at any parameter value, and each dK, which
+    an operator stores on K's pattern.  Attributes: ``order`` (order[k] is
+    the natural index of band position k) and ``bandwidth`` of Q in that
+    order, which is also the largest distance in band order between two
+    entries of one row of K, dK or A, as the gradient's quadratic forms
+    need.
     """
 
-    def __init__(self, K, A, dK: Mapping[str, sparse.csr_matrix]):
+    def __init__(self, K, A):
         self.n = K.shape[1]
-        matrices = (K, A, *dK.values())
-        self._patterns = [(M.shape, M.indptr.copy(), M.indices.copy()) for M in matrices]
-        self._names = tuple(dK)
         self.order = _band_order(K, A)
         position = _inverse(self.order)
         self.kk = RowPairs(K, K, position)
         self.aa = RowPairs(A, A, position)
-        self.dk = {name: RowPairs(d, K, position) for name, d in dK.items()}
         w = max(int(self.kk.d.max(initial=0)), int(self.aa.d.max(initial=0)))
         self.bandwidth = w
-        self.width = max([w] + [int(p.d.max(initial=0)) for p in self.dk.values()])
         # each pair with pi <= pj adds to Q[pi, pj], stored at ab[w + pi - pj, pj]
         k_up, a_up = self.kk.pi <= self.kk.pj, self.aa.pi <= self.aa.pj
         self._k = self.kk.row[k_up], self.kk.a[k_up], self.kk.b[k_up]
@@ -181,15 +180,8 @@ class StructurePlan:
         pj = np.concatenate([self.kk.pj[k_up], self.aa.pj[a_up]])
         self._slot = (w + pi - pj) * self.n + pj
         # the row of each stored entry of K and of A, and its column
-        self._entry_rows = [np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)) for M in (K, A)]
+        self._entry_rows = [entry_rows(M) for M in (K, A)]
         self._entry_cols = np.concatenate([K.indices, A.indices])
-
-    def fits(self, K, A, dK: Mapping[str, sparse.csr_matrix]) -> bool:
-        """Whether K, A and dK have the stored patterns the plan was built from."""
-        return tuple(dK) == self._names and all(
-            M.shape == shape and np.array_equal(M.indptr, ptr) and np.array_equal(M.indices, idx)
-            for M, (shape, ptr, idx) in zip((K, A, *dK.values()), self._patterns)
-        )
 
     def band(self, K, A, dw: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """Q = K' diag(dw)^-1 K + A' diag(dy)^-1 A in upper 'ab' storage,
@@ -384,8 +376,9 @@ class BandedSigma:
 
 
 def sigma_cross_quad_diag(sig: BandedSigma, P, K, pairs: RowPairs) -> np.ndarray:
-    """Vector of P_i. Sigma K_i.' over rows i, from the row pairs of P and K;
-    one row per band of a stacked ``sig``."""
+    """Vector of P_i. Sigma K_i.' over rows i for a P stored on K's
+    pattern (a dK), from the row pairs of K; one row per band of a stacked
+    ``sig``."""
     return pairs.row_sums(P, K, sig)
 
 

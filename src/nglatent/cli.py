@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -326,10 +326,7 @@ def build_model_from_config(config: RunConfig, op, A, X, beta=None):
     noise_y = build_noise(config.model["noise_y"], "model.noise_y")
     model = assemble_model(A=A, X=X, op=op, noise_w=noise_w, noise_y=noise_y, beta=beta)
     if config.inference.get("priors") == "flat":
-        model = assemble_model(
-            A=A, X=X, op=op, noise_w=noise_w, noise_y=noise_y, beta=beta,
-            priors=flat_priors(model.param_names),
-        )
+        model = replace(model, priors=flat_priors(model.param_names))
     return model
 
 

@@ -185,7 +185,7 @@ def _grad_rows(mdl: Model, Y, W, v_w, sigma: Optional[BandedSigma] = None):
         dK = mdl.op.dK[name]
         quad = (dK @ W.T).T * ev
         if sigma is not None:
-            quad = quad + sigma_cross_quad_diag(sigma, dK, K, plan.dk[name]) / v_w
+            quad = quad + sigma_cross_quad_diag(sigma, dK, K, plan.kk) / v_w
         parts.append(traces[name] - np.sum(quad, axis=1) / sig**2)
     return np.column_stack(parts)
 
@@ -258,6 +258,6 @@ def rb_gradient(
     mean = np.stack([m for m, _ in _conds])
     plan = mdl.plan
     sigma = BandedSigma(
-        np.stack([factor.sigma_band(plan.width).S for _, factor in _conds]), plan.order
+        np.stack([factor.sigma_band(plan.bandwidth).S for _, factor in _conds]), plan.order
     )
     return _report(mdl, _grad_rows(mdl, Y, mean, v_w, sigma), priors, "RB")

@@ -14,7 +14,7 @@ fixed: only Gaussian measurement noise is fittable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -126,15 +126,11 @@ class Model:
     noise_y: NoiseSpec
     beta: np.ndarray
     priors: PriorSet
-    param_names: Tuple[str, ...] = field(default=())
-    transform_tags: Tuple[str, ...] = field(default=())
-    plan: Optional[StructurePlan] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        # a plan passed on by with_theta stays while the stored patterns of
-        # K, dK and A do; a parameter value that drops an entry needs a new one
-        if self.plan is None or not self.plan.fits(self.op.K, self.A, self.op.dK):
-            object.__setattr__(self, "plan", StructurePlan(self.op.K, self.A, self.op.dK))
+    param_names: Tuple[str, ...]
+    transform_tags: Tuple[str, ...]
+    # built once by assemble_model: every parameter value keeps the stored
+    # patterns of K, dK and A
+    plan: StructurePlan = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -182,19 +178,7 @@ class Model:
             pos += 1
         kernel = dict(zip(self.op.params, theta[pos:]))
         op = self.op.with_params(kernel) if kernel else self.op
-        noise_w = noise_w.with_h(op.h)
-        return Model(
-            A=self.A,
-            X=self.X,
-            op=op,
-            noise_w=noise_w,
-            noise_y=noise_y,
-            beta=beta,
-            priors=self.priors,
-            param_names=self.param_names,
-            transform_tags=self.transform_tags,
-            plan=self.plan,
-        )
+        return replace(self, op=op, noise_w=noise_w, noise_y=noise_y, beta=beta)
 
     def theta_unconstrained(self) -> np.ndarray:
         return tr.to_unconstrained(self.theta_natural(), self.transform_tags)
@@ -283,6 +267,7 @@ def assemble_model(
         priors=priors,
         param_names=names,
         transform_tags=tags,
+        plan=StructurePlan(op.K, A),
     )
 
 

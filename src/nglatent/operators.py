@@ -2,11 +2,18 @@
 
 Each operator bundles the matrix K, its innovation weights h, named
 parameter slots on the natural scale, per-parameter derivative matrices
-dK/dtheta_i, and per-parameter transform tags.  Operators are immutable;
-``with_params`` rebuilds a new value at updated parameters.  Kronecker
-compositions are materialized as sparse matrices.
+dK/dtheta_i, and per-parameter transform tags.  Operators are immutable.
 
-Each constructor also supplies ``logdet_grad()`` = (log|det K|,
+An operator fixes one stored pattern when it is built, shared by K and
+every dK; an entry that a parameter value makes zero stays stored (phi =
+0 in an AR(1), zeta = rho = 0 in a bivariate coupling).  Its value map
+takes the parameters to the data of K and of each dK on that pattern.
+Construction and ``with_params`` both call it, so a parameter update
+swaps data arrays and assembles no sparse matrix (Rue & Held 2005,
+section 2.4: fix the graph once, then refill the values).  Compositions
+gather their parts' data through index maps built once.
+
+Each value map also supplies ``logdet_grad()`` = (log|det K|,
 {name: tr(K^-1 dK/dtheta)}) from the structure it builds (Magnus &
 Neudecker, Matrix Differential Calculus, ch. 8): triangular operators read
 their diagonal, the SPD Matern operator a banded Cholesky and selected
@@ -16,13 +23,13 @@ inverse (Rue & Held 2005, section 2.4), compositions their parts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Tuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from ._linalg import SpdFactor
+from ._linalg import SpdFactor, entry_rows
 from .errors import FactorizationError, InputError, ParameterDomainError, ParameterLookupError
 from .mesh import Mesh1D, fem_matrices
 from .transforms import IDENTITY, LOG, STATIONARY_LOGIT
@@ -41,6 +48,16 @@ __all__ = [
     "operator_dtheta",
 ]
 
+
+class _Values(NamedTuple):
+    """An operator at one parameter point, as its value map gives it."""
+
+    params: Dict[str, float]
+    data: np.ndarray  # of K, on the stored pattern
+    ddata: Dict[str, np.ndarray]  # of each dK, on the same pattern
+    logdet_grad: Callable[[], Tuple[float, Dict[str, float]]]
+
+
 @dataclass(frozen=True, eq=False)
 class LatentOperator:
     """A sparse operator K with weights, parameters, and derivatives."""
@@ -51,7 +68,7 @@ class LatentOperator:
     params: Dict[str, float]
     dK: Dict[str, sparse.csr_matrix]
     transforms: Dict[str, str]
-    _rebuild: Callable[[Mapping[str, float]], "LatentOperator"] = field(repr=False)
+    _values: Callable[[Mapping[str, float]], _Values] = field(repr=False)
     _logdet_grad: Callable[[], Tuple[float, Dict[str, float]]] = field(repr=False)
 
     @property
@@ -67,7 +84,8 @@ class LatentOperator:
         return self.K.shape[0] == self.K.shape[1]
 
     def with_params(self, updates: Mapping[str, float]) -> "LatentOperator":
-        """Rebuild the operator with some parameters replaced."""
+        """The operator, on the same stored pattern, with some parameters
+        replaced."""
         unknown = set(updates) - set(self.params)
         if unknown:
             raise ParameterLookupError(
@@ -75,7 +93,7 @@ class LatentOperator:
             )
         merged = dict(self.params)
         merged.update({k: float(v) for k, v in updates.items()})
-        return self._rebuild(merged)
+        return _operator(self.kind, self.K, self.h, self.transforms, self._values, merged)
 
     def dtheta(self, name: str) -> sparse.csr_matrix:
         if name not in self.dK:
@@ -95,17 +113,63 @@ def operator_dtheta(op: LatentOperator, name: str) -> sparse.csr_matrix:
     return op.dtheta(name)
 
 
-def _as_csr(m) -> sparse.csr_matrix:
-    return sparse.csr_matrix(m)
-
-
-def _triangular_logdet_grad(K, dK):
-    """A triangular K whose derivatives share its triangle has a
-    triangular inverse with diagonal 1 / K_ii."""
-    return (
-        float(np.sum(np.log(np.abs(K.diagonal())))),
-        {name: float(np.sum(d.diagonal() / K.diagonal())) for name, d in dK.items()},
+def _operator(kind, pattern, h, transforms, values, params) -> LatentOperator:
+    """The operator at ``params``, its K and dK on the stored pattern of
+    ``pattern`` with the data the value map ``values`` gives."""
+    v = values(params)
+    return LatentOperator(
+        kind=kind,
+        K=_on(pattern, v.data),
+        h=h,
+        params=v.params,
+        dK={name: _on(pattern, d) for name, d in v.ddata.items()},
+        transforms=transforms,
+        _values=values,
+        _logdet_grad=v.logdet_grad,
     )
+
+
+def _on(pattern, data) -> sparse.csr_matrix:
+    """``data`` on the stored pattern of ``pattern``, sharing its index arrays."""
+    return sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
+def _layout(shape, *pieces):
+    """The stored pattern of a matrix laid out from copies of smaller ones.
+
+    A piece (M, rows, cols) places a copy of M's stored pattern with its
+    top-left corner at each (rows[j], cols[j]); copies may overlap.
+    Returns the union pattern in canonical CSR form (sorted, no
+    duplicates) and, per piece, the slots place[j, k] of M.data[k] in
+    copy j, shape (len(rows), M.nnz).
+    """
+    keys = [
+        (np.asarray(rows)[:, None] + entry_rows(M)) * shape[1]
+        + (np.asarray(cols)[:, None] + M.indices)
+        for M, rows, cols in pieces
+    ]
+    unique, slot = np.unique(np.concatenate([k.ravel() for k in keys]), return_inverse=True)
+    row, col = np.divmod(unique, shape[1])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=shape[0]))])
+    pattern = sparse.csr_matrix((np.ones(unique.size), col, indptr), shape=shape)
+    places = np.split(slot, np.cumsum([k.size for k in keys])[:-1])
+    return pattern, [p.reshape(k.shape) for p, k in zip(places, keys)]
+
+
+def _fill(nnz: int, *placed) -> np.ndarray:
+    """Data of ``nnz`` slots: each (place, values) pair writes values at
+    place; slots that no pair names hold zero."""
+    data = np.zeros(nnz)
+    for place, values in placed:
+        data[place] = values
+    return data
+
+
+def _union(*matrices):
+    """The union of the stored patterns of equal-shape CSR matrices without
+    duplicate entries, and each matrix's data laid onto it."""
+    pattern, places = _layout(matrices[0].shape, *[(M, [0], [0]) for M in matrices])
+    return pattern, [_fill(pattern.nnz, (p, M.data)) for p, M in zip(places, matrices)]
 
 
 def _lu_logdet_grad(K, dK):
@@ -126,39 +190,49 @@ def _lu_logdet_grad(K, dK):
 # ---------------------------------------------------------------------------
 
 
+def _bidiagonal(kind, h, name, transform, value, rows) -> LatentOperator:
+    """A lower-bidiagonal operator with one parameter ``name``, K_ii = 1 for
+    i > 0, and ``rows(theta)`` = (K_00, sub-diagonal, dK_00, dK's
+    sub-diagonal).
+
+    K is triangular and dK shares its triangle, so K^-1 is triangular with
+    diagonal 1 / K_ii: log|det K| and tr(K^-1 dK) read the diagonals."""
+    n = h.size
+    eye = sparse.identity(n, format="csr")
+    pattern, (diag, sub) = _layout((n, n), (eye, [0], [0]), (eye[1:, 1:], [1], [0]))
+
+    def values(p):
+        theta = float(p[name])
+        k00, k_sub, d00, d_sub = rows(theta)
+        k_diag, d_diag = np.ones(n), np.zeros(n)
+        k_diag[0], d_diag[0] = k00, d00
+        return _Values(
+            {name: theta},
+            _fill(pattern.nnz, (diag, k_diag), (sub, k_sub)),
+            {name: _fill(pattern.nnz, (diag, d_diag), (sub, d_sub))},
+            lambda: (float(np.sum(np.log(np.abs(k_diag)))), {name: float(np.sum(d_diag / k_diag))}),
+        )
+
+    return _operator(kind, pattern, h, {name: transform}, values, {name: value})
+
+
 def ar1_operator(phi: float, T: int) -> LatentOperator:
     """Stationary AR(1) operator on T integer-indexed points.
 
     Lower-bidiagonal with sqrt(1 - phi^2) in the first row so the first
     state carries the stationary variance; h = 1.
     """
-    phi = float(phi)
-    if not abs(phi) < 1:
-        raise ParameterDomainError(f"AR(1) requires |phi| < 1, got {phi}")
     T = int(T)
     if T < 1:
         raise InputError("AR(1) needs T >= 1")
-    root = np.sqrt(1.0 - phi**2)
-    diag = np.ones(T)
-    diag[0] = root
-    K = sparse.diags([np.full(T - 1, -phi), diag], offsets=[-1, 0], format="csr")
-    d_diag = np.zeros(T)
-    d_diag[0] = -phi / root
-    dK = sparse.diags([np.full(T - 1, -1.0), d_diag], offsets=[-1, 0], format="csr")
 
-    def build(params):
-        return ar1_operator(params["phi"], T)
+    def rows(phi):
+        if not abs(phi) < 1:
+            raise ParameterDomainError(f"AR(1) requires |phi| < 1, got {phi}")
+        root = np.sqrt(1.0 - phi**2)
+        return root, -phi, -phi / root, -1.0
 
-    return LatentOperator(
-        kind="ar1",
-        K=_as_csr(K),
-        h=np.ones(T),
-        params={"phi": phi},
-        dK={"phi": _as_csr(dK)},
-        transforms={"phi": STATIONARY_LOGIT},
-        _rebuild=build,
-        _logdet_grad=lambda: _triangular_logdet_grad(K, {"phi": dK}),
-    )
+    return _bidiagonal("ar1", np.ones(T), "phi", STATIONARY_LOGIT, phi, rows)
 
 
 def rw_operator(order: int, mesh: Mesh1D) -> LatentOperator:
@@ -173,33 +247,16 @@ def rw_operator(order: int, mesh: Mesh1D) -> LatentOperator:
     n = mesh.n
     if n < order + 1:
         raise InputError(f"order-{order} random walk needs at least {order + 1} nodes")
-    if order == 1:
-        ones = np.ones(n - 1)
-        K = sparse.diags([-ones, ones], offsets=[0, 1], shape=(n - 1, n), format="csr")
-        h = mesh.spacings.copy()
-    else:
-        ones = np.ones(n - 2)
-        K = sparse.diags(
-            [ones, -2.0 * ones, ones], offsets=[0, 1, 2], shape=(n - 2, n), format="csr"
-        )
-        h = mesh.spacings[1:].copy()
-
-    def build(params):
-        return rw_operator(order, mesh)
+    stencil = [-1.0, 1.0] if order == 1 else [1.0, -2.0, 1.0]
+    eye = sparse.identity(n - order, format="csr")
+    pattern, places = _layout((n - order, n), *[(eye, [0], [j]) for j in range(order + 1)])
+    data = _fill(pattern.nnz, *zip(places, stencil))
 
     def rectangular():
         raise InputError("a rectangular random walk has no determinant; pin it first")
 
-    return LatentOperator(
-        kind=f"rw{order}",
-        K=_as_csr(K),
-        h=h,
-        params={},
-        dK={},
-        transforms={},
-        _rebuild=build,
-        _logdet_grad=rectangular,
-    )
+    h = mesh.spacings[order - 1 :].copy()
+    return _operator(f"rw{order}", pattern, h, {}, lambda p: _Values({}, data, {}, rectangular), {})
 
 
 def pin_operator(op: LatentOperator, node: int = 0, weight: float = 1.0) -> LatentOperator:
@@ -213,26 +270,20 @@ def pin_operator(op: LatentOperator, node: int = 0, weight: float = 1.0) -> Late
     if not 0 <= node < cols:
         raise InputError(f"pin node {node} outside 0..{cols - 1}")
     e = sparse.csr_matrix(([1.0], ([0], [node])), shape=(1, cols))
-    K = sparse.vstack([op.K, e], format="csr")
+    pattern, (body, pin) = _layout((cols, cols), (op.K, [0], [0]), (e, [rows], [0]))
+
+    def values(p):
+        v = op._values(p)
+        data = _fill(pattern.nnz, (body, v.data), (pin, 1.0))
+        ddata = {name: _fill(pattern.nnz, (body, d)) for name, d in v.ddata.items()}
+        # factor K once per parameter point
+        logdet_grad = _lu_logdet_grad(
+            _on(pattern, data), {k: _on(pattern, d) for k, d in ddata.items()}
+        )
+        return _Values(v.params, data, ddata, lambda: logdet_grad)
+
     h = np.concatenate([op.h, [float(weight)]])
-    dK = {k: sparse.vstack([d, sparse.csr_matrix((1, cols))], format="csr") for k, d in op.dK.items()}
-
-    # K is fixed for the life of the operator: factor it once
-    logdet_grad = _lu_logdet_grad(K, dK)
-
-    def build(params):
-        return pin_operator(op.with_params(params), node, weight)
-
-    return LatentOperator(
-        kind=f"pinned-{op.kind}",
-        K=K,
-        h=h,
-        params=dict(op.params),
-        dK=dK,
-        transforms=dict(op.transforms),
-        _rebuild=build,
-        _logdet_grad=lambda: logdet_grad,
-    )
+    return _operator(f"pinned-{op.kind}", pattern, h, dict(op.transforms), values, dict(op.params))
 
 
 def ou_operator(theta: float, mesh: Mesh1D) -> LatentOperator:
@@ -242,66 +293,39 @@ def ou_operator(theta: float, mesh: Mesh1D) -> LatentOperator:
     sqrt(1 - rho_1^2) in the first row.  h holds the step sizes, with the
     first row assigned the first step.
     """
-    theta = float(theta)
-    if not theta > 0:
-        raise ParameterDomainError(f"OU requires theta > 0, got {theta}")
-    n = mesh.n
     dx = mesh.spacings
-    rho = np.exp(-theta * dx)
-    diag = np.ones(n)
-    diag[0] = np.sqrt(1.0 - rho[0] ** 2)
-    K = sparse.diags([-rho, diag], offsets=[-1, 0], format="csr")
-    d_diag = np.zeros(n)
-    d_diag[0] = rho[0] ** 2 * dx[0] / np.sqrt(1.0 - rho[0] ** 2)
-    dK = sparse.diags([dx * rho, d_diag], offsets=[-1, 0], format="csr")
-    h = np.concatenate([[dx[0]], dx])
 
-    def build(params):
-        return ou_operator(params["theta"], mesh)
+    def rows(theta):
+        if not theta > 0:
+            raise ParameterDomainError(f"OU requires theta > 0, got {theta}")
+        rho = np.exp(-theta * dx)
+        root = np.sqrt(1.0 - rho[0] ** 2)
+        return root, -rho, rho[0] ** 2 * dx[0] / root, dx * rho
 
-    return LatentOperator(
-        kind="ou",
-        K=_as_csr(K),
-        h=h,
-        params={"theta": theta},
-        dK={"theta": _as_csr(dK)},
-        transforms={"theta": LOG},
-        _rebuild=build,
-        _logdet_grad=lambda: _triangular_logdet_grad(K, {"theta": dK}),
-    )
+    return _bidiagonal("ou", np.concatenate([[dx[0]], dx]), "theta", LOG, theta, rows)
 
 
 def matern_operator(kappa: float, mesh: Mesh1D) -> LatentOperator:
     """Whittle-Matern SPDE operator K = kappa^2 C + G on a 1D mesh."""
-    return _matern(kappa, mesh, fem_matrices(mesh))
+    fm = fem_matrices(mesh)
+    pattern, (mass, stiff) = _union(fm.C_lumped, fm.G)
 
+    def values(p):
+        kappa = float(p["kappa"])
+        if not kappa > 0:
+            raise ParameterDomainError(f"Matern requires kappa > 0, got {kappa}")
+        data = kappa**2 * mass + stiff
 
-def _matern(kappa: float, mesh: Mesh1D, fm) -> LatentOperator:
-    # C and G do not depend on kappa: every rebuild reuses the first assembly
-    kappa = float(kappa)
-    if not kappa > 0:
-        raise ParameterDomainError(f"Matern requires kappa > 0, got {kappa}")
-    K = _as_csr((kappa**2) * fm.C_lumped + fm.G)
-    dK = _as_csr(2.0 * kappa * fm.C_lumped)
+        def logdet_grad():
+            # K is SPD and dK = 2 kappa C diagonal, so the trace needs only diag(K^-1)
+            factor = SpdFactor(_on(pattern, data))
+            trace = (2.0 * kappa * fm.C_lumped.diagonal()) @ factor.sigma_band(0).diagonal()
+            return factor.logdet(), {"kappa": float(trace)}
 
-    def build(params):
-        return _matern(params["kappa"], mesh, fm)
+        return _Values({"kappa": kappa}, data, {"kappa": 2.0 * kappa * mass}, logdet_grad)
 
-    def logdet_grad():
-        # K is SPD and dK diagonal, so the trace needs only diag(K^-1)
-        factor = SpdFactor(K)
-        return factor.logdet(), {"kappa": float(dK.diagonal() @ factor.sigma_band(0).diagonal())}
-
-    return LatentOperator(
-        kind="matern",
-        K=K,
-        h=mesh.weights.copy(),
-        params={"kappa": kappa},
-        dK={"kappa": dK},
-        transforms={"kappa": LOG},
-        _rebuild=build,
-        _logdet_grad=logdet_grad,
-    )
+    h = mesh.weights.copy()
+    return _operator("matern", pattern, h, {"kappa": LOG}, values, {"kappa": kappa})
 
 
 # ---------------------------------------------------------------------------
@@ -326,47 +350,41 @@ def tensor_operator(outer: LatentOperator, inner: LatentOperator) -> LatentOpera
     """
     if not (outer.is_square and inner.is_square):
         raise InputError("tensor composition requires square operators")
-    K = sparse.kron(outer.K, inner.K, format="csr")
-    h = np.kron(outer.h, inner.h)
-    params = {**_prefixed("outer", outer.params), **_prefixed("inner", inner.params)}
-    transforms = {
-        **_prefixed("outer", outer.transforms),
-        **_prefixed("inner", inner.transforms),
-    }
-    dK = {}
-    for name, d in outer.dK.items():
-        dK[f"outer.{name}"] = sparse.kron(d, inner.K, format="csr")
-    for name, d in inner.dK.items():
-        dK[f"inner.{name}"] = sparse.kron(outer.K, d, format="csr")
-
-    def build(p):
-        return tensor_operator(
-            outer.with_params(_strip_prefix("outer", p)),
-            inner.with_params(_strip_prefix("inner", p)),
-        )
-
-    def logdet_grad():
-        # det(K_o (x) K_i) = det(K_o)^n_i det(K_i)^n_o, and
-        # tr((K_o (x) K_i)^-1 (dK_o (x) K_i)) = n_i tr(K_o^-1 dK_o)
-        n_o, n_i = outer.dim, inner.dim
-        ld_o, tr_o = outer.logdet_grad()
-        ld_i, tr_i = inner.logdet_grad()
-        traces = {
-            **_prefixed("outer", {k: n_i * v for k, v in tr_o.items()}),
-            **_prefixed("inner", {k: n_o * v for k, v in tr_i.items()}),
-        }
-        return n_i * ld_o + n_o * ld_i, traces
-
-    return LatentOperator(
-        kind="tensor",
-        K=K,
-        h=h,
-        params=params,
-        dK=dK,
-        transforms=transforms,
-        _rebuild=build,
-        _logdet_grad=logdet_grad,
+    n_o, n_i = outer.dim, inner.dim
+    # one copy of K_i's pattern per stored entry of K_o
+    pattern, (place,) = _layout(
+        (n_o * n_i, n_o * n_i), (inner.K, entry_rows(outer.K) * n_i, outer.K.indices * n_i)
     )
+
+    def joint(of_outer, of_inner):
+        return {**_prefixed("outer", of_outer), **_prefixed("inner", of_inner)}
+
+    def kron(a, b):
+        return _fill(pattern.nnz, (place, np.outer(a, b)))
+
+    def values(p):
+        o = outer._values(_strip_prefix("outer", p))
+        i = inner._values(_strip_prefix("inner", p))
+
+        def logdet_grad():
+            # det(K_o (x) K_i) = det(K_o)^n_i det(K_i)^n_o, and
+            # tr((K_o (x) K_i)^-1 (dK_o (x) K_i)) = n_i tr(K_o^-1 dK_o)
+            ld_o, tr_o = o.logdet_grad()
+            ld_i, tr_i = i.logdet_grad()
+            traces = joint(
+                {k: n_i * v for k, v in tr_o.items()}, {k: n_o * v for k, v in tr_i.items()}
+            )
+            return n_i * ld_o + n_o * ld_i, traces
+
+        ddata = joint(
+            {k: kron(d, i.data) for k, d in o.ddata.items()},
+            {k: kron(o.data, d) for k, d in i.ddata.items()},
+        )
+        return _Values(joint(o.params, i.params), kron(o.data, i.data), ddata, logdet_grad)
+
+    transforms = joint(outer.transforms, inner.transforms)
+    h = np.kron(outer.h, inner.h)
+    return _operator("tensor", pattern, h, transforms, values, joint(outer.params, inner.params))
 
 
 def _dependence_matrix(zeta: float, rho: float):
@@ -395,66 +413,47 @@ def bivariate_operator(
     if not 0.0 <= zeta <= 2.0 * np.pi:
         raise ParameterDomainError(f"zeta must lie in [0, 2pi], got {zeta}")
     d = op1.dim
-    eye = sparse.identity(d, format="csr")
-    D, dD_zeta, dD_rho = _dependence_matrix(zeta, rho)
-    block = sparse.block_diag([op1.K, op2.K], format="csr")
-    mix = sparse.kron(sparse.csr_matrix(D), eye, format="csr")
-    K = (mix @ block).tocsr()
-    h = np.concatenate([op1.h, op2.h])
-    params = {
-        **_prefixed("k1", op1.params),
-        **_prefixed("k2", op2.params),
-        "zeta": zeta,
-        "rho": rho,
-    }
-    transforms = {
-        **_prefixed("k1", op1.transforms),
-        **_prefixed("k2", op2.transforms),
-        "zeta": IDENTITY,
-        "rho": IDENTITY,
-    }
-    zero1 = sparse.csr_matrix(op1.shape)
-    zero2 = sparse.csr_matrix(op2.shape)
-    dK = {}
-    for name, dmat in op1.dK.items():
-        dK[f"k1.{name}"] = (mix @ sparse.block_diag([dmat, zero2], format="csr")).tocsr()
-    for name, dmat in op2.dK.items():
-        dK[f"k2.{name}"] = (mix @ sparse.block_diag([zero1, dmat], format="csr")).tocsr()
-    dK["zeta"] = (sparse.kron(sparse.csr_matrix(dD_zeta), eye) @ block).tocsr()
-    dK["rho"] = (sparse.kron(sparse.csr_matrix(dD_rho), eye) @ block).tocsr()
-
-    def build(p):
-        # D(zeta, rho) is 2pi-periodic in zeta, so an iterate may leave [0, 2pi]
-        return bivariate_operator(
-            op1.with_params(_strip_prefix("k1", p)),
-            op2.with_params(_strip_prefix("k2", p)),
-            np.mod(p["zeta"], 2.0 * np.pi),
-            p["rho"],
-        )
-
-    def logdet_grad():
-        # det D = sqrt(1 + rho^2) whatever zeta, and the block-diagonal part
-        # gives each component its own determinant and traces
-        ld1, tr1 = op1.logdet_grad()
-        ld2, tr2 = op2.logdet_grad()
-        traces = {
-            **_prefixed("k1", tr1),
-            **_prefixed("k2", tr2),
-            "zeta": 0.0,
-            "rho": d * rho / (1.0 + rho**2),
-        }
-        return d * 0.5 * np.log1p(rho**2) + ld1 + ld2, traces
-
-    return LatentOperator(
-        kind="bivariate",
-        K=K,
-        h=h,
-        params=params,
-        dK=dK,
-        transforms=transforms,
-        _rebuild=build,
-        _logdet_grad=logdet_grad,
+    # block column j holds D[0, j] K_j above D[1, j] K_j
+    pattern, (left, right) = _layout(
+        (2 * d, 2 * d), (op1.K, [0, d], [0, 0]), (op2.K, [0, d], [d, d])
     )
+
+    def joint(of1, of2, of_zeta, of_rho):
+        return {**_prefixed("k1", of1), **_prefixed("k2", of2), "zeta": of_zeta, "rho": of_rho}
+
+    def mixed(M, x1, x2):
+        """The data of (M (x) I_d) blockdiag(X_1, X_2); X_j = None is zero."""
+        blocks = [(left, M[:, :1], x1), (right, M[:, 1:], x2)]
+        return _fill(pattern.nnz, *[(at, m * x) for at, m, x in blocks if x is not None])
+
+    def values(p):
+        # D(zeta, rho) is 2pi-periodic in zeta, so an iterate may leave [0, 2pi]
+        zeta, rho = float(np.mod(p["zeta"], 2.0 * np.pi)), float(p["rho"])
+        a = op1._values(_strip_prefix("k1", p))
+        b = op2._values(_strip_prefix("k2", p))
+        D, dD_zeta, dD_rho = _dependence_matrix(zeta, rho)
+
+        def logdet_grad():
+            # det D = sqrt(1 + rho^2) whatever zeta, and the block-diagonal part
+            # gives each component its own determinant and traces
+            ld1, tr1 = a.logdet_grad()
+            ld2, tr2 = b.logdet_grad()
+            traces = joint(tr1, tr2, 0.0, d * rho / (1.0 + rho**2))
+            return d * 0.5 * np.log1p(rho**2) + ld1 + ld2, traces
+
+        ddata = joint(
+            {k: mixed(D, x, None) for k, x in a.ddata.items()},
+            {k: mixed(D, None, x) for k, x in b.ddata.items()},
+            mixed(dD_zeta, a.data, b.data),
+            mixed(dD_rho, a.data, b.data),
+        )
+        params = joint(a.params, b.params, zeta, rho)
+        return _Values(params, mixed(D, a.data, b.data), ddata, logdet_grad)
+
+    transforms = joint(op1.transforms, op2.transforms, IDENTITY, IDENTITY)
+    h = np.concatenate([op1.h, op2.h])
+    params = joint(op1.params, op2.params, zeta, rho)
+    return _operator("bivariate", pattern, h, transforms, values, params)
 
 
 def replicate_operator(op: LatentOperator, R: int) -> LatentOperator:
@@ -465,28 +464,21 @@ def replicate_operator(op: LatentOperator, R: int) -> LatentOperator:
         raise InputError("replicate count must be >= 1")
     if R == 1:
         return op
-    eye = sparse.identity(R, format="csr")
-    K = sparse.kron(eye, op.K, format="csr")
+    (rows, cols), copies = op.shape, np.arange(R)
+    pattern, (place,) = _layout((R * rows, R * cols), (op.K, copies * rows, copies * cols))
+
+    def values(p):
+        v = op._values(p)
+
+        def logdet_grad():
+            ld, traces = v.logdet_grad()
+            return R * ld, {k: R * t for k, t in traces.items()}
+
+        ddata = {k: _fill(pattern.nnz, (place, d)) for k, d in v.ddata.items()}
+        return _Values(v.params, _fill(pattern.nnz, (place, v.data)), ddata, logdet_grad)
+
     h = np.tile(op.h, R)
-    dK = {name: sparse.kron(eye, d, format="csr") for name, d in op.dK.items()}
-
-    def build(p):
-        return replicate_operator(op.with_params(p), R)
-
-    def logdet_grad():
-        ld, traces = op.logdet_grad()
-        return R * ld, {k: R * v for k, v in traces.items()}
-
-    return LatentOperator(
-        kind="replicate",
-        K=K,
-        h=h,
-        params=dict(op.params),
-        dK=dK,
-        transforms=dict(op.transforms),
-        _rebuild=build,
-        _logdet_grad=logdet_grad,
-    )
+    return _operator("replicate", pattern, h, dict(op.transforms), values, dict(op.params))
 
 
 def advdiff_operator(
@@ -498,52 +490,46 @@ def advdiff_operator(
     sub-diagonal blocks -sqrt(c) C, and spatial operator
     L = kappa^2 C + G + B(gamma) (no streamline stabilization).
     """
-    return _advdiff(kappa, gamma, c, mesh, T, fem_matrices(mesh, advection=1.0))
-
-
-def _advdiff(kappa, gamma, c, mesh: Mesh1D, T, fm) -> LatentOperator:
-    # C, G and B do not depend on the parameters: every rebuild reuses them
-    kappa, gamma, c = float(kappa), float(gamma), float(c)
-    if not kappa > 0:
-        raise ParameterDomainError(f"advection-diffusion requires kappa > 0, got {kappa}")
-    if not c > 0:
-        raise ParameterDomainError(f"advection-diffusion requires c > 0, got {c}")
     T = int(T)
     if T < 2:
         raise InputError("advection-diffusion needs T >= 2 time steps")
-    C, G, B_unit = fm.C_lumped, fm.G, fm.B
-    rc = np.sqrt(c)
-    L = (kappa**2) * C + G + gamma * B_unit
-    K_tt = rc * C + L / rc
-    K_sub = -rc * C
-    eye = sparse.identity(T, format="csr")
-    sub = sparse.diags([np.ones(T - 1)], offsets=[-1], format="csr")
-    K = sparse.kron(eye, K_tt, format="csr") + sparse.kron(sub, K_sub, format="csr")
-    h = np.tile(mesh.weights, T)
-    dK_tt = {
-        "kappa": (2.0 * kappa / rc) * C,
-        "gamma": B_unit / rc,
-        "c": C / (2.0 * rc) - L / (2.0 * c * rc),
-    }
-    dK = {k: sparse.kron(eye, v, format="csr") for k, v in dK_tt.items()}
-    dK["c"] = dK["c"] + sparse.kron(sub, -C / (2.0 * rc), format="csr")
-
-    def build(p):
-        return _advdiff(p["kappa"], p["gamma"], p["c"], mesh, T, fm)
-
-    def logdet_grad():
-        # K and K^-1 are block lower triangular with diagonal blocks K_tt and
-        # K_tt^-1, so the sub-diagonal blocks of dK drop out of the traces
-        ld, traces = _lu_logdet_grad(K_tt, dK_tt)
-        return T * ld, {k: T * v for k, v in traces.items()}
-
-    return LatentOperator(
-        kind="advdiff",
-        K=K.tocsr(),
-        h=h,
-        params={"kappa": kappa, "gamma": gamma, "c": c},
-        dK={k: _as_csr(v) for k, v in dK.items()},
-        transforms={"kappa": LOG, "gamma": IDENTITY, "c": LOG},
-        _rebuild=build,
-        _logdet_grad=logdet_grad,
+    # C, G and B do not depend on the parameters: they are laid once onto
+    # the pattern of a diagonal block; the sub-diagonal blocks keep C's
+    fm = fem_matrices(mesh, advection=1.0)
+    block, (mass, stiff, adv) = _union(fm.C_lumped, fm.G, fm.B)
+    lumped, starts = fm.C_lumped.data, np.arange(T) * mesh.n
+    pattern, (diag, sub) = _layout(
+        (T * mesh.n, T * mesh.n), (block, starts, starts), (fm.C_lumped, starts[1:], starts[:-1])
     )
+
+    def values(p):
+        kappa, gamma, c = float(p["kappa"]), float(p["gamma"]), float(p["c"])
+        if not kappa > 0:
+            raise ParameterDomainError(f"advection-diffusion requires kappa > 0, got {kappa}")
+        if not c > 0:
+            raise ParameterDomainError(f"advection-diffusion requires c > 0, got {c}")
+        rc = np.sqrt(c)
+        L = kappa**2 * mass + stiff + gamma * adv
+        K_tt = rc * mass + L / rc
+        dK_tt = {
+            "kappa": (2.0 * kappa / rc) * mass,
+            "gamma": adv / rc,
+            "c": mass / (2.0 * rc) - L / (2.0 * c * rc),
+        }
+        ddata = {k: _fill(pattern.nnz, (diag, v)) for k, v in dK_tt.items()}
+        ddata["c"] = _fill(pattern.nnz, (diag, dK_tt["c"]), (sub, -lumped / (2.0 * rc)))
+
+        def logdet_grad():
+            # K and K^-1 are block lower triangular with diagonal blocks K_tt and
+            # K_tt^-1, so the sub-diagonal blocks of dK drop out of the traces
+            ld, traces = _lu_logdet_grad(
+                _on(block, K_tt), {k: _on(block, v) for k, v in dK_tt.items()}
+            )
+            return T * ld, {k: T * v for k, v in traces.items()}
+
+        data = _fill(pattern.nnz, (diag, K_tt), (sub, -rc * lumped))
+        return _Values({"kappa": kappa, "gamma": gamma, "c": c}, data, ddata, logdet_grad)
+
+    transforms = {"kappa": LOG, "gamma": IDENTITY, "c": LOG}
+    params = {"kappa": kappa, "gamma": gamma, "c": c}
+    return _operator("advdiff", pattern, np.tile(mesh.weights, T), transforms, values, params)

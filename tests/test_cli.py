@@ -146,6 +146,46 @@ class TestFit:
         path = write_config(tmp_path, cfg.to_dict())
         assert main(["fit", "--config", str(path)]) in (EXIT_CONFIG,)
 
+    def test_flat_priors_plan_once(self, tmp_path, monkeypatch):
+        import nglatent.cli as cli
+        import nglatent.model as model_module
+        from nglatent.model import flat_priors
+
+        plans = []
+
+        class CountedPlan(model_module.StructurePlan):
+            def __init__(self, *args):
+                plans.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(model_module, "StructurePlan", CountedPlan)
+        raw = base_config(tmp_path, n=30, max_iters=20, sgld=10)
+        raw["inference"]["priors"] = "flat"
+        cfg = RunConfig.from_dict(raw)
+        run_simulate(cfg, out_dir=tmp_path)
+        plans.clear()
+        _, paths = run_fit(cfg)
+        assert len(plans) == 1
+
+        def assembled_with_flat_priors(config, op, A, X, beta=None):
+            # the model assembled from scratch with flat priors, as a
+            # reference for the estimates
+            model = cli.assemble_model(
+                A=A, X=X, op=op, beta=beta,
+                noise_w=cli.build_noise(config.model["noise_w"], "model.noise_w"),
+                noise_y=cli.build_noise(config.model["noise_y"], "model.noise_y"),
+            )
+            return cli.assemble_model(
+                A=A, X=X, op=op, beta=beta, noise_w=model.noise_w, noise_y=model.noise_y,
+                priors=flat_priors(model.param_names),
+            )
+
+        monkeypatch.setattr(cli, "build_model_from_config", assembled_with_flat_priors)
+        raw["output"]["dir"] = str(tmp_path / "reference")
+        _, reference = run_fit(RunConfig.from_dict(raw))
+        for key in ("estimates", "posterior"):
+            assert paths[key].read_bytes() == reference[key].read_bytes()
+
     def test_missing_values_dropped(self, tmp_path):
         cfg = RunConfig.from_dict(base_config(tmp_path, n=10))
         run_simulate(cfg, out_dir=tmp_path)

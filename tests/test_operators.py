@@ -3,8 +3,11 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from nglatent.distributions import NoiseSpec
 from nglatent.errors import InputError, ParameterDomainError, ParameterLookupError
+from nglatent.inference import FitOptions, map_fit
 from nglatent.mesh import build_interval_mesh
+from nglatent.model import assemble_model
 from nglatent.operators import (
     advdiff_operator,
     ar1_operator,
@@ -223,7 +226,8 @@ class TestBivariate:
         op2 = matern_operator(2.0, MESH3)
         op = bivariate_operator(op1, op2, zeta=0.0, rho=0.0)
         d = op1.dim
-        assert op.K[:d, d:].nnz == 0 and op.K[d:, :d].nnz == 0
+        # the coupling blocks stay stored, as zeros
+        assert op.K[:d, d:].count_nonzero() == 0 and op.K[d:, :d].count_nonzero() == 0
         Kd = op.K.toarray()
         cov = np.linalg.solve(Kd, np.diag(op.h) @ np.linalg.inv(Kd).T)
         assert np.abs(cov[:d, d:]).max() < 1e-14
@@ -333,10 +337,253 @@ def test_fem_matrices_assembled_once_per_operator(monkeypatch, make, params):
     op = make(mesh, {"kappa": 1.0, "gamma": 0.3, "c": 1.2})
     rebuilt = op.with_params(params).with_params(params)
     assert len(calls) == 1
-    fresh = make(mesh, params)
-    assert np.array_equal(rebuilt.K.toarray(), fresh.K.toarray())
-    for name in fresh.dK:
-        assert np.array_equal(rebuilt.dK[name].toarray(), fresh.dK[name].toarray())
+    dense = {
+        "matern": lambda p: dense_matern(p["kappa"], mesh),
+        "advdiff": lambda p: dense_advdiff(p["kappa"], p["gamma"], p["c"], mesh, T=3),
+    }
+    assert_matches_dense(rebuilt, *dense[rebuilt.kind](params))
+
+
+# ---------------------------------------------------------------------------
+# Dense oracles: every kind built independently in numpy
+# ---------------------------------------------------------------------------
+
+
+def dense_fem(mesh):
+    """Lumped mass C, stiffness G and unit advection B of the hat basis,
+    summed element by element."""
+    x = mesh.nodes
+    n = x.size
+    C, G, B = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    for j in range(n - 1):
+        length = x[j + 1] - x[j]
+        e = np.ix_([j, j + 1], [j, j + 1])
+        C[e] += np.diag([length / 2.0, length / 2.0])
+        G[e] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / length
+        B[e] += np.array([[-0.5, 0.5], [-0.5, 0.5]])
+    return C, G, B
+
+
+def dense_ar1(phi, T):
+    root = np.sqrt(1.0 - phi**2)
+    K = np.eye(T) - phi * np.eye(T, k=-1)
+    K[0, 0] = root
+    dK = -np.eye(T, k=-1)
+    dK[0, 0] = -phi / root
+    return K, {"phi": dK}
+
+
+def dense_ou(theta, mesh):
+    dx = np.diff(mesh.nodes)
+    rho = np.exp(-theta * dx)
+    root = np.sqrt(1.0 - rho[0] ** 2)
+    K = np.eye(mesh.n) - np.diag(rho, -1)
+    K[0, 0] = root
+    dK = np.diag(dx * rho, -1)
+    dK[0, 0] = rho[0] ** 2 * dx[0] / root
+    return K, {"theta": dK}
+
+
+def dense_rw(order, mesh, pin=None):
+    """Difference rows [-1, 1] or [1, -2, 1], and a unit row at ``pin``."""
+    n = mesh.n
+    stencil = [-1.0, 1.0] if order == 1 else [1.0, -2.0, 1.0]
+    K = sum(w * np.eye(n - order, n, k=j) for j, w in enumerate(stencil))
+    if pin is not None:
+        K = np.vstack([K, np.eye(1, n, k=pin)])
+    return K, {}
+
+
+def dense_matern(kappa, mesh):
+    C, G, _ = dense_fem(mesh)
+    return kappa**2 * C + G, {"kappa": 2.0 * kappa * C}
+
+
+def dense_tensor(outer, inner):
+    (K_o, dK_o), (K_i, dK_i) = outer, inner
+    dK = {f"outer.{k}": np.kron(d, K_i) for k, d in dK_o.items()}
+    dK.update({f"inner.{k}": np.kron(K_o, d) for k, d in dK_i.items()})
+    return np.kron(K_o, K_i), dK
+
+
+def dense_bivariate(first, second, zeta, rho):
+    """(D (x) I_d) blockdiag(K_1, K_2), D a rotation by zeta with a
+    correlation-like rho, and its derivatives by the product rule."""
+    (K1, dK1), (K2, dK2) = first, second
+    d = K1.shape[0]
+    c, s, r = np.cos(zeta), np.sin(zeta), np.sqrt(1.0 + rho**2)
+    D = np.array([[c + rho * s, -s * r], [s - rho * c, c * r]])
+    D_zeta = np.array([[-s + rho * c, -c * r], [c + rho * s, -s * r]])
+    D_rho = np.array([[s, -s * rho / r], [-c, c * rho / r]])
+    zero = np.zeros((d, d))
+
+    def mix(M, X1, X2):
+        return np.kron(M, np.eye(d)) @ np.block([[X1, zero], [zero, X2]])
+
+    dK = {f"k1.{k}": mix(D, x, zero) for k, x in dK1.items()}
+    dK.update({f"k2.{k}": mix(D, zero, x) for k, x in dK2.items()})
+    dK.update(zeta=mix(D_zeta, K1, K2), rho=mix(D_rho, K1, K2))
+    return mix(D, K1, K2), dK
+
+
+def dense_replicate(part, R):
+    K, dK = part
+    return np.kron(np.eye(R), K), {k: np.kron(np.eye(R), d) for k, d in dK.items()}
+
+
+def dense_advdiff(kappa, gamma, c, mesh, T):
+    C, G, B = dense_fem(mesh)
+    rc = np.sqrt(c)
+    L = kappa**2 * C + G + gamma * B
+    now, before = np.eye(T), np.eye(T, k=-1)
+    K = np.kron(now, rc * C + L / rc) + np.kron(before, -rc * C)
+    dK = {
+        "kappa": np.kron(now, 2.0 * kappa * C / rc),
+        "gamma": np.kron(now, B / rc),
+        "c": np.kron(now, C / (2.0 * rc) - L / (2.0 * c * rc)) + np.kron(before, -C / (2.0 * rc)),
+    }
+    return K, dK
+
+
+def assert_matches_dense(op, K, dK, rtol=1e-14):
+    def close(got, want):
+        return np.max(np.abs(got.toarray() - want)) <= rtol * np.max(np.abs(want))
+
+    assert close(op.K, K)
+    assert op.dK.keys() == dK.keys()
+    for name, want in dK.items():
+        assert close(op.dK[name], want), name
+
+
+MESH6 = build_interval_mesh([0.0, 0.3, 1.0, 1.8, 2.0, 3.1])
+
+# kind: (build at params, dense (K, dK) at params, parameter points).  The
+# points include the values that zero stored entries (phi = 0, zeta = rho =
+# 0, gamma = 0) and a zeta outside [0, 2pi], which only a parameter update
+# can reach: the constructor refuses it.
+CASES = {
+    "ar1": (
+        lambda p: ar1_operator(p["phi"], 7),
+        lambda p: dense_ar1(p["phi"], 7),
+        [{"phi": 0.6}, {"phi": 0.0}, {"phi": -0.95}],
+    ),
+    "ou": (
+        lambda p: ou_operator(p["theta"], MESH6),
+        lambda p: dense_ou(p["theta"], MESH6),
+        [{"theta": 0.8}, {"theta": 3.0}],
+    ),
+    "rw1": (lambda p: rw_operator(1, MESH6), lambda p: dense_rw(1, MESH6), [{}]),
+    "rw2": (lambda p: rw_operator(2, MESH6), lambda p: dense_rw(2, MESH6), [{}]),
+    "pinned-rw1": (
+        lambda p: pin_operator(rw_operator(1, MESH6), node=2),
+        lambda p: dense_rw(1, MESH6, pin=2),
+        [{}],
+    ),
+    "matern": (
+        lambda p: matern_operator(p["kappa"], MESH6),
+        lambda p: dense_matern(p["kappa"], MESH6),
+        [{"kappa": 1.3}, {"kappa": 0.05}],
+    ),
+    "tensor": (
+        lambda p: tensor_operator(
+            ar1_operator(p["outer.phi"], 4), matern_operator(p["inner.kappa"], MESH6)
+        ),
+        lambda p: dense_tensor(dense_ar1(p["outer.phi"], 4), dense_matern(p["inner.kappa"], MESH6)),
+        [{"outer.phi": 0.5, "inner.kappa": 1.1}, {"outer.phi": 0.0, "inner.kappa": 2.0}],
+    ),
+    "bivariate": (
+        lambda p: bivariate_operator(
+            matern_operator(p["k1.kappa"], MESH6),
+            ou_operator(p["k2.theta"], MESH6),
+            p["zeta"],
+            p["rho"],
+        ),
+        lambda p: dense_bivariate(
+            dense_matern(p["k1.kappa"], MESH6), dense_ou(p["k2.theta"], MESH6), p["zeta"], p["rho"]
+        ),
+        [
+            {"k1.kappa": 0.9, "k2.theta": 1.7, "zeta": 2.5, "rho": 0.5},
+            {"k1.kappa": 0.9, "k2.theta": 1.7, "zeta": 0.0, "rho": 0.0},
+            {"k1.kappa": 1.4, "k2.theta": 0.6, "zeta": 7.0, "rho": -1.2},
+            {"k1.kappa": 1.4, "k2.theta": 0.6, "zeta": -0.5, "rho": 0.0},
+        ],
+    ),
+    "replicate": (
+        lambda p: replicate_operator(ar1_operator(p["phi"], 5), 3),
+        lambda p: dense_replicate(dense_ar1(p["phi"], 5), 3),
+        [{"phi": 0.4}, {"phi": 0.0}],
+    ),
+    "advdiff": (
+        lambda p: advdiff_operator(p["kappa"], p["gamma"], p["c"], MESH6, T=4),
+        lambda p: dense_advdiff(p["kappa"], p["gamma"], p["c"], MESH6, T=4),
+        [{"kappa": 1.2, "gamma": 0.4, "c": 0.8}, {"kappa": 0.5, "gamma": 0.0, "c": 2.0}],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(CASES))
+def test_matches_dense_oracle(kind):
+    make, dense, points = CASES[kind]
+    op = make(points[0])
+    for p in points:
+        wrapped = {**p, "zeta": np.mod(p["zeta"], 2.0 * np.pi)} if "zeta" in p else p
+        updated = op.with_params(p)
+        assert updated.params == wrapped
+        assert_matches_dense(updated, *dense(p))
+        if 0.0 <= p.get("zeta", 0.0) <= 2.0 * np.pi:
+            fresh = make(p)
+            assert fresh.params == wrapped
+            assert_matches_dense(fresh, *dense(p))
+        else:
+            with pytest.raises(ParameterDomainError):
+                make(p)
+
+
+@pytest.mark.parametrize("kind", list(CASES))
+def test_parameter_update_assembles_no_matrix(monkeypatch, kind):
+    # K and every dK keep the pattern built at construction: an update (and
+    # a whole fit) refills data, never calls a sparse constructor or the
+    # FEM assembly, and the model plans once
+    import nglatent.model as model_module
+    import nglatent.operators as operators
+
+    make, _, points = CASES[kind]
+    op = make(points[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse assembly after construction")
+
+    for name in ("kron", "diags", "bmat", "block_diag", "vstack"):
+        monkeypatch.setattr(sparse, name, refuse)
+    monkeypatch.setattr(operators, "fem_matrices", refuse)
+    plans = []
+
+    class CountedPlan(model_module.StructurePlan):
+        def __init__(self, *args):
+            plans.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(model_module, "StructurePlan", CountedPlan)
+    for p in points:
+        updated = op.with_params(p)
+        for M in (updated.K, *updated.dK.values()):
+            assert np.shares_memory(M.indices, op.K.indices)
+            assert np.shares_memory(M.indptr, op.K.indptr)
+        if updated.is_square:
+            updated.logdet_grad()
+    if not op.is_square:
+        return
+    model = assemble_model(
+        A=sparse.identity(op.dim, format="csr"),
+        X=np.zeros((op.dim, 0)),
+        op=op,
+        noise_w=NoiseSpec("nig", sigma=1.0, mu=0.5, nu=1.0),
+        noise_y=NoiseSpec("gaussian", sigma=0.5),
+    )
+    Y = np.random.default_rng(2).standard_normal(op.dim)
+    opts = FitOptions(chains=2, max_iters=4, min_iters=4, k=1, checkpoint_every=2, sgld_samples=2)
+    map_fit(model, Y, opts)
+    assert len(plans) == 1
 
 
 class TestOperatorDtheta:
