@@ -13,14 +13,18 @@ the stored patterns of K and A holds
   mapped to its place in Q's upper band and in the covariance band, in
   that order; K's pairs also serve each dK with K.
 
-Each draw then assembles Q's band with one ``bincount`` over the pairs
-and factors it with a banded Cholesky Q = U'U; every model takes this
-one path.  The covariance band comes from a selected inverse
-(Takahashi, Fagan & Chin 1973; Rue & Held 2005, section 2.4).  When Q
-has bandwidth <= 1 (AR1, OU, a pinned first-order random walk) U is
-bidiagonal and the band has a closed form: an affine recurrence for the
-diagonal, run as a suffix scan in ceil(log2 n) vector steps (Blelloch
-1990), then one vector step per further diagonal.  Wider factors run
+The products of K's pairs depend on K's values only and are formed
+once per parameter value (``pair_products``), as are A's terms of Q
+and of the right-hand side when D_y is fixed (``obs_band_terms``,
+``obs_rhs_terms``).  Each draw then assembles Q's band with one
+``bincount`` over the pairs of K and of A and factors it with a banded
+Cholesky Q = U'U; every model takes this one path.  The covariance band
+comes from a selected inverse (Takahashi, Fagan & Chin 1973; Rue & Held
+2005, section 2.4).  When Q has bandwidth <= 1 (AR1, OU, a pinned
+first-order random walk) U is bidiagonal and the band has a closed
+form: an affine recurrence for the diagonal, run as a suffix scan in
+ceil(log2 n) vector steps (Blelloch 1990), then one vector step per
+further diagonal.  Wider factors run
 the recursion backwards over blocks of b >= bandwidth rows: U is then
 block upper bidiagonal, the requested band of Sigma = Q^-1 lies inside
 its block tridiagonal part, and each block costs a few dense b x b
@@ -183,22 +187,34 @@ class StructurePlan:
         self._entry_rows = [entry_rows(M) for M in (K, A)]
         self._entry_cols = np.concatenate([K.indices, A.indices])
 
-    def band(self, K, A, dw: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        """Q = K' diag(dw)^-1 K + A' diag(dy)^-1 A in upper 'ab' storage,
-        band order."""
-        kr, ka, kb = self._k
+    def pair_products(self, K) -> np.ndarray:
+        """The products K[r, i] K[r, j] that Q's upper band sums: they
+        depend on K's values only, so one set serves every draw at them."""
+        _, ka, kb = self._k
+        return K.data[ka] * K.data[kb]
+
+    def obs_band_terms(self, A, dy: np.ndarray) -> np.ndarray:
+        """A's terms of Q's upper band, A[r, i] A[r, j] / dy[r], one per
+        pair of A."""
         ar, aa, ab = self._a
-        weights = np.concatenate([
-            K.data[ka] * K.data[kb] / dw[kr],
-            A.data[aa] * A.data[ab] / dy[ar],
-        ])
+        return A.data[aa] * A.data[ab] / dy[ar]
+
+    def band(self, products: np.ndarray, dw: np.ndarray, obs: np.ndarray) -> np.ndarray:
+        """Q = K' diag(dw)^-1 K + A' diag(dy)^-1 A in upper 'ab' storage,
+        band order, from K's ``pair_products`` and A's terms ``obs``
+        (``obs_band_terms`` at dy)."""
+        weights = np.concatenate([products / dw[self._k[0]], obs])
         size = (self.bandwidth + 1) * self.n
         return np.bincount(self._slot, weights, minlength=size).reshape(-1, self.n)
 
-    def rhs(self, K, A, u: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """K' u + A' r, natural order."""
-        kr, ar = self._entry_rows
-        weights = np.concatenate([K.data * u[kr], A.data * r[ar]])
+    def obs_rhs_terms(self, A, r: np.ndarray) -> np.ndarray:
+        """A's terms of A' r, one per stored entry of A."""
+        return A.data * r[self._entry_rows[1]]
+
+    def rhs(self, K, u: np.ndarray, obs: np.ndarray) -> np.ndarray:
+        """K' u + A' r in natural order, from A's terms ``obs``
+        (``obs_rhs_terms`` at r)."""
+        weights = np.concatenate([K.data * u[self._entry_rows[0]], obs])
         return np.bincount(self._entry_cols, weights, minlength=self.n)
 
 

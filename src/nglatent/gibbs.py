@@ -6,6 +6,19 @@ and each mixing variable V_i | W, Y stays GIG with shifted order
 p - 1/2 and updated (a, b).  One sweep samples W, then the process
 block V_W, then the measurement block V_Y.
 
+Both conditionals are built in two stages.  The per-theta stage
+(``_ThetaStage``) holds what depends on the parameters and the data
+only: K's pair products for Q's band, Y - X beta, the (p, a, nu h^2)
+arrays of each non-Gaussian mixing block, and, when the measurement
+noise is Gaussian (V_Y = 1), the A terms of Q's band and of the
+right-hand side.  A ``GibbsChain`` builds it with its model and again
+on ``set_theta``; prediction runs every sweep at one theta and a fit
+reuses each theta for k + 1 conditionals per chain.  The per-draw stage
+(``_w_conditional``, ``_draw_v``) forms only the terms in V and W.
+Callers without a chain build the per-theta stage on the spot, so there
+is one conditional path; ``sample_w`` and ``conditional_w_params``
+leave the A terms to the draw and use the V_Y they are given.
+
 Several chains can sweep in lockstep (``lockstep_sweep``): each chain
 draws W from its own conditional with its own rng, then one
 ``gig_sample_many`` call on a shared mixing stream draws the process
@@ -57,59 +70,99 @@ def _prepared(model: Model, theta) -> Model:
     return model if theta is None else model.with_theta(theta)
 
 
-def _w_conditional(mdl: Model, v_w, v_y, Y):
-    """Mean and banded factor of W | V, Y (Proposition-style forms).
+class _ThetaStage:
+    """What the W | V, Y conditional and the mixing draws take from one
+    parameter value and the data, built once and read by every draw at
+    that value: K's pair products for Q's band, Y - X beta, and the
+    per-theta arrays of each non-Gaussian mixing block (``_gig_block``).
+    A Gaussian measurement block has V_Y = 1 in the sampler, so its A
+    terms of Q's band and of the right-hand side are fixed too (``obs``).
+    ``obs`` is None when V_Y is drawn, or when ``fix_v_y`` is false and
+    each draw takes its V_Y from the caller."""
+
+    def __init__(self, model: Model, Y, fix_v_y: bool = True):
+        self.model = model
+        plan, noise_y = model.plan, model.noise_y
+        self.products = plan.pair_products(model.op.K)
+        self.y0 = np.asarray(Y, dtype=float) - model.X @ model.beta
+        self.gig_w = None if model.noise_w.family == GAUSSIAN else _gig_block(model.noise_w)
+        self.gig_y = None if noise_y.family == GAUSSIAN else _gig_block(noise_y)
+        self.obs = None
+        if self.gig_y is None and fix_v_y:
+            dy = np.full(model.m, noise_y.sigma**2)
+            self.obs = plan.obs_band_terms(model.A, dy), plan.obs_rhs_terms(model.A, self.y0 / dy)
+
+
+def _w_conditional(stage: _ThetaStage, v_w, v_y):
+    """Mean and banded factor of W | V, Y (Proposition-style forms), from
+    the per-theta ``stage``; only the terms in V are formed here.
 
     Q's band comes from the model's structure plan; no sparse matrix is
     built per call."""
     if np.any(v_w <= 0) or np.any(v_y <= 0):
         raise InputError("mixing variables must be strictly positive")
-    K, A = mdl.op.K, mdl.A
-    dw = mdl.noise_w.sigma**2 * v_w
-    dy = mdl.noise_y.sigma**2 * v_y
-    mean_w = mdl.noise_w.mu * (v_w - mdl.noise_w.h)
-    resid = Y - mdl.X @ mdl.beta - mdl.noise_y.mu * (v_y - 1.0)
-    plan = mdl.plan
-    factor = SpdFactor(plan.band(K, A, dw, dy), plan.order)
-    return factor.solve(plan.rhs(K, A, mean_w / dw, resid / dy)), factor
+    mdl = stage.model
+    plan, nw = mdl.plan, mdl.noise_w
+    dw = nw.sigma**2 * v_w
+    u = nw.mu * (v_w - nw.h) / dw
+    obs_band, obs_rhs = stage.obs or _obs_parts(mdl, stage.y0, v_y)
+    factor = SpdFactor(plan.band(stage.products, dw, obs_band), plan.order)
+    return factor.solve(plan.rhs(mdl.op.K, u, obs_rhs)), factor
+
+
+def _obs_parts(mdl: Model, y0, v_y):
+    """The A terms of Q's band and of the right-hand side at a given V_Y."""
+    ny = mdl.noise_y
+    dy = ny.sigma**2 * v_y
+    resid = y0 - ny.mu * (v_y - 1.0)
+    return mdl.plan.obs_band_terms(mdl.A, dy), mdl.plan.obs_rhs_terms(mdl.A, resid / dy)
 
 
 def conditional_w_params(model: Model, theta, V, Y):
     """Mean vector and sparse precision (natural order) of W | V, Y."""
     mdl = _prepared(model, theta)
     v_w, v_y = (np.asarray(v, float) for v in V)
-    mu, _ = _w_conditional(mdl, v_w, v_y, Y)
+    mu, _ = _w_conditional(_ThetaStage(mdl, Y, fix_v_y=False), v_w, v_y)
     K, A = mdl.op.K, mdl.A
     Q = K.T.multiply(1.0 / (mdl.noise_w.sigma**2 * v_w)) @ K
     Q = Q + A.T.multiply(1.0 / (mdl.noise_y.sigma**2 * v_y)) @ A
     return mu, sparse.csr_matrix(Q)
 
 
-def _draw_w(rng, mdl, v_w, v_y, Y, cond=None):
-    mu, factor = cond if cond is not None else _w_conditional(mdl, v_w, v_y, Y)
-    return mu + factor.whiten(rng.standard_normal(mdl.n))
+def _draw_w(rng, cond):
+    mu, factor = cond
+    return mu + factor.whiten(rng.standard_normal(mu.size))
 
 
 def sample_w(rng, model: Model, theta, V, Y):
     """Exact draw from N(mu_W, Sigma_W) via the factorized precision."""
-    mdl = _prepared(model, theta)
+    stage = _ThetaStage(_prepared(model, theta), Y, fix_v_y=False)
     v_w, v_y = V
-    return _draw_w(rng, mdl, np.asarray(v_w, float), np.asarray(v_y, float), Y)
+    return _draw_w(rng, _w_conditional(stage, np.asarray(v_w, float), np.asarray(v_y, float)))
 
 
-def _gig_params(noise, e):
-    """(p, a, b) of the conditional GIG laws of one mixing block, given its
-    residuals e (K W for the process block, Y - X beta - A W for the
-    measurement block)."""
+def _gig_block(noise):
+    """The per-theta arrays of the conditional GIG laws of one mixing
+    block: (p - 1/2, a + mu^2/sigma^2, b, mu h, sigma^2), from the prior
+    GIG(p, a, b) of its mixing variables."""
     p, a, b = mixing_prior_arrays(noise)
     mu, sig2 = noise.mu, noise.sigma**2
-    return p - 0.5, a + mu**2 / sig2, b + (e + mu * noise.h) ** 2 / sig2
+    return p - 0.5, a + mu**2 / sig2, b, mu * noise.h, sig2
+
+
+def _gig_params(block, e):
+    """(p, a, b) of the conditional GIG laws of one mixing block, from its
+    ``_gig_block`` and its residuals e (K W for the process block,
+    Y - X beta - A W for the measurement block)."""
+    p, a, b, mu_h, sig2 = block
+    return p, a, b + (e + mu_h) ** 2 / sig2
 
 
 def _gig_draw(rng, blocks):
-    """Mixing variables of several non-Gaussian blocks, given as (noise,
-    residuals) pairs, from one GIG call over their joined parameters."""
-    p, a, b = (np.concatenate(x) for x in zip(*(_gig_params(nz, e) for nz, e in blocks)))
+    """Mixing variables of several non-Gaussian blocks, given as
+    (``_gig_block``, residuals) pairs, from one GIG call over their joined
+    parameters."""
+    p, a, b = (np.concatenate(x) for x in zip(*(_gig_params(blk, e) for blk, e in blocks)))
     np.maximum(b, 1e-30, out=b)
     v = gig_sample_many(rng, p, a, b)
     np.maximum(v, V_FLOOR, out=v)
@@ -120,23 +173,21 @@ def _gig_draw(rng, blocks):
     return out
 
 
-def _draw_v(rng, models, ws, Ys):
-    """V_W and V_Y of each of several chains, given its W.  Gaussian blocks
-    keep V = h; the non-Gaussian process blocks of all chains take one GIG
-    call, then their non-Gaussian measurement blocks one more."""
-    v_w = [m.noise_w.h.copy() for m in models]
-    v_y = [np.ones(m.m) for m in models]
-    proc = [i for i, m in enumerate(models) if m.noise_w.family != GAUSSIAN]
+def _draw_v(rng, stages, ws):
+    """V_W and V_Y of each of several chains, given its per-theta stage and
+    its W.  Gaussian blocks keep V = h; the non-Gaussian process blocks of
+    all chains take one GIG call, then their non-Gaussian measurement
+    blocks one more."""
+    v_w = [s.model.noise_w.h.copy() for s in stages]
+    v_y = [np.ones(s.model.m) for s in stages]
+    proc = [i for i, s in enumerate(stages) if s.gig_w is not None]
     if proc:
-        blocks = [(models[i].noise_w, models[i].op.K @ ws[i]) for i in proc]
+        blocks = [(stages[i].gig_w, stages[i].model.op.K @ ws[i]) for i in proc]
         for i, v in zip(proc, _gig_draw(rng, blocks)):
             v_w[i] = v
-    meas = [i for i, m in enumerate(models) if m.noise_y.family != GAUSSIAN]
+    meas = [i for i, s in enumerate(stages) if s.gig_y is not None]
     if meas:
-        blocks = [
-            (models[i].noise_y, Ys[i] - models[i].X @ models[i].beta - models[i].A @ ws[i])
-            for i in meas
-        ]
+        blocks = [(stages[i].gig_y, stages[i].y0 - stages[i].model.A @ ws[i]) for i in meas]
         for i, v in zip(meas, _gig_draw(rng, blocks)):
             v_y[i] = v
     return v_w, v_y
@@ -145,15 +196,15 @@ def _draw_v(rng, models, ws, Ys):
 def sample_v(rng, model: Model, theta, W, Y) -> Tuple[np.ndarray, np.ndarray]:
     """Independent GIG draws from the mixing-variable conditionals;
     Gaussian blocks return V = h unchanged."""
-    mdl = _prepared(model, theta)
-    (v_w,), (v_y,) = _draw_v(rng, [mdl], [np.asarray(W, float)], [Y])
+    stage = _ThetaStage(_prepared(model, theta), Y)
+    (v_w,), (v_y,) = _draw_v(rng, [stage], [np.asarray(W, float)])
     return v_w, v_y
 
 
 def conditional_v_gig_params(model: Model, theta, W, Y):
     """(p, a, b) arrays of the process-block conditional GIG laws."""
     mdl = _prepared(model, theta)
-    return _gig_params(mdl.noise_w, mdl.op.K @ np.asarray(W, float))
+    return _gig_params(_gig_block(mdl.noise_w), mdl.op.K @ np.asarray(W, float))
 
 
 class GibbsChain:
@@ -165,16 +216,20 @@ class GibbsChain:
     """
 
     def __init__(self, model: Model, Y, rng, theta=None):
-        self.model = _prepared(model, theta)
         self.Y = np.asarray(Y, dtype=float)
+        self._stage = _ThetaStage(_prepared(model, theta), self.Y)
         self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         self.v_w = self.model.noise_w.h.copy()
         self.v_y = np.ones(self.model.m)
         self.w = None
         self._cond = None
 
+    @property
+    def model(self) -> Model:
+        return self._stage.model
+
     def set_theta(self, theta_natural):
-        self.model = self.model.with_theta(theta_natural)
+        self._stage = _ThetaStage(self.model.with_theta(theta_natural), self.Y)
         self._cond = None
 
     def sweep(self, k: int = 1, with_conditionals: bool = False):
@@ -203,14 +258,12 @@ def lockstep_sweep(chains: Sequence[GibbsChain], k: int, rng):
     for _ in range(k):
         for c in chains:
             if c._cond is None:
-                c._cond = _w_conditional(c.model, c.v_w, c.v_y, c.Y)
-            c.w = _draw_w(c.rng, c.model, c.v_w, c.v_y, c.Y, cond=c._cond)
-        v_w, v_y = _draw_v(
-            rng, [c.model for c in chains], [c.w for c in chains], [c.Y for c in chains]
-        )
+                c._cond = _w_conditional(c._stage, c.v_w, c.v_y)
+            c.w = _draw_w(c.rng, c._cond)
+        v_w, v_y = _draw_v(rng, [c._stage for c in chains], [c.w for c in chains])
         for c, c_vw, c_vy, (states, conds) in zip(chains, v_w, v_y, runs):
             c.v_w, c.v_y = c_vw, c_vy
-            c._cond = _w_conditional(c.model, c_vw, c_vy, c.Y)
+            c._cond = _w_conditional(c._stage, c_vw, c_vy)
             states.append(LatentState(W=c.w, V_W=c_vw.copy(), V_Y=c_vy.copy()))
             conds.append(c._cond)
     return runs

@@ -35,7 +35,7 @@ from scipy import special
 from ._linalg import BandedSigma, sigma_cross_quad_diag, sigma_obs_quad_trace, sigma_quad_diag
 from .distributions import GAUSSIAN, NIG
 from .errors import InputError, ParameterDomainError, ParameterLookupError, UnsupportedFamilyError
-from .gibbs import _w_conditional
+from .gibbs import _ThetaStage, _w_conditional
 from .model import LatentState, Model, PriorSet
 from .transforms import jacobian_natural
 
@@ -254,7 +254,8 @@ def rb_gradient(
     mdl = _prepared(model, theta)
     v_w, v_y = _mixing(v_draws)
     if _conds is None:
-        _conds = [_w_conditional(mdl, a, b, Y) for a, b in zip(v_w, v_y)]
+        stage = _ThetaStage(mdl, Y)
+        _conds = [_w_conditional(stage, a, b) for a, b in zip(v_w, v_y)]
     mean = np.stack([m for m, _ in _conds])
     plan = mdl.plan
     sigma = BandedSigma(

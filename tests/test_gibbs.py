@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -15,7 +17,7 @@ from nglatent.gibbs import (
     sample_w,
 )
 from nglatent.model import assemble_model, simulate
-from nglatent.operators import ar1_operator, matern_operator
+from nglatent.operators import ar1_operator, bivariate_operator, matern_operator, tensor_operator
 from nglatent.mesh import build_interval_mesh
 
 
@@ -90,6 +92,22 @@ class TestConditionalW:
         A = model.A.toarray()
         gain = sig_w @ A.T @ np.linalg.inv(A @ sig_w @ A.T + model.noise_y.sigma**2 * np.eye(3))
         assert np.allclose(mu, gain @ Y, atol=1e-12)
+
+    def test_given_v_y_used_with_gaussian_measurement_noise(self):
+        # the one-shot callers condition on the V_Y they are given, also
+        # where the sampler holds a Gaussian measurement block at V_Y = 1
+        model = nig_ar1_model(n=12)
+        rng = np.random.default_rng(4)
+        Y, _ = simulate(model, rng=rng)
+        v_w = rng.gamma(2.0, 0.3, size=model.n)
+        v_y = rng.gamma(2.0, 1.0, size=model.m)
+        mu, Q = conditional_w_params(model, None, (v_w, v_y), Y)
+        mu_dense, cov = dense_w_posterior(model, v_w, v_y, Y)
+        assert np.abs(mu - mu_dense).max() < 1e-10
+        assert np.allclose(Q.toarray(), np.linalg.inv(cov), rtol=1e-9)
+        # V_Y near zero pins W to the observations (A is the identity)
+        w = sample_w(rng, model, None, (v_w, np.full(model.m, 1e-12)), Y)
+        assert np.abs(w - Y).max() < 1e-4
 
     def test_rejects_nonpositive_v(self):
         model = gaussian_ar1_model()
@@ -367,7 +385,8 @@ class TestLockstepSweep:
             else:
                 p, a, b = conditional_v_gig_params(mdl, None, W, Y)
                 np.testing.assert_array_equal(states[-1].V_W, b / a)
-            p, a, b = gibbs._gig_params(mdl.noise_y, Y - mdl.X @ mdl.beta - mdl.A @ W)
+            resid = Y - mdl.X @ mdl.beta - mdl.A @ W
+            p, a, b = gibbs._gig_params(gibbs._gig_block(mdl.noise_y), resid)
             np.testing.assert_array_equal(states[-1].V_Y, b / a)
         assert not np.array_equal(runs[0][0][-1].V_W, runs[1][0][-1].V_W)
 
@@ -385,3 +404,68 @@ class TestLockstepSweep:
             assert np.array_equal(state.W, W)
             assert np.array_equal(state.V_W, V[0])
             assert np.array_equal(state.V_Y, V[1])
+
+
+def stage_model(kind):
+    """Models whose per-theta stages differ: a NIG process with Gaussian
+    measurement noise, NIG with NIG measurement noise (V_Y drawn), a GAL
+    process, and NIG on a tensor and on a bivariate operator (reordered
+    band), each with a covariate."""
+    mesh = build_interval_mesh(np.linspace(0.0, 4.0, 9))
+    ops = {
+        "tensor": lambda: tensor_operator(ar1_operator(0.6, 4), matern_operator(1.2, mesh)),
+        "bivariate": lambda: bivariate_operator(
+            matern_operator(0.8, mesh), matern_operator(1.6, mesh), 2.5, 0.5
+        ),
+    }
+    op = ops.get(kind, lambda: ar1_operator(0.6, 15))()
+    family = "gal" if kind == "gal" else "nig"
+    noise_y = (NoiseSpec("nig", sigma=0.8, mu=0.5, nu=1.2) if kind == "nig-nig"
+               else NoiseSpec("gaussian", sigma=0.5))
+    return assemble_model(
+        A=sparse.identity(op.dim, format="csr"),
+        X=np.ones((op.dim, 1)),
+        op=op,
+        noise_w=NoiseSpec(family, sigma=1.2, mu=0.7, nu=0.9),
+        noise_y=noise_y,
+        beta=np.array([0.3]),
+    )
+
+
+class TestThetaStage:
+    def test_gibbs_run_builds_the_mixing_arrays_once(self, monkeypatch):
+        # the process block's GIG arrays depend on theta only: a run at one
+        # theta builds them once, not once per sweep
+        calls = []
+        prior = gibbs.mixing_prior_arrays
+        monkeypatch.setattr(
+            gibbs, "mixing_prior_arrays", lambda noise: calls.append(noise) or prior(noise)
+        )
+        model = nig_ar1_model(n=10)
+        Y, _ = simulate(model, rng=np.random.default_rng(1))
+        gibbs_run(np.random.default_rng(2), model, None, Y, iters=10, burnin=0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["nig-ar1", "nig-nig", "gal", "tensor", "bivariate"])
+    def test_set_theta_rebuilds_the_stage(self, kind):
+        # after set_theta, each conditional equals one built from scratch at
+        # the new theta, bit for bit
+        model = stage_model(kind)
+        Y, _ = simulate(model, rng=np.random.default_rng(3))
+        chain = GibbsChain(model, Y, np.random.default_rng(4))
+        chain.sweep(3)
+        theta = model.theta_natural()
+        theta[0] += 0.2  # beta
+        for name in model.param_names[1:]:
+            theta[model.param_names.index(name)] *= 1.1 if name != "mu" else -0.5
+        chain.set_theta(theta)
+        fresh = gibbs._ThetaStage(model.with_theta(theta), Y)
+        # the next W is drawn from the conditional at the current V
+        mu, factor = gibbs._w_conditional(fresh, chain.v_w, chain.v_y)
+        w = mu + factor.whiten(copy.deepcopy(chain.rng).standard_normal(model.n))
+        states, conds = chain.sweep(2, with_conditionals=True)
+        assert np.array_equal(states[0].W, w)
+        for state, (mu, factor) in zip(states, conds):
+            ref_mu, ref_factor = gibbs._w_conditional(fresh, state.V_W, state.V_Y)
+            assert np.array_equal(mu, ref_mu)
+            assert np.array_equal(factor._cb, ref_factor._cb)

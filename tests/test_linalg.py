@@ -184,10 +184,10 @@ def check_plan(plan, op, A, rng):
     assert np.array_equal(np.sort(p), np.arange(n))
     Qp = Q[p][:, p]
     assert bandwidth_of(Qp) <= plan.bandwidth
-    band = plan.band(K, A, dw, dy)
+    band = plan.band(plan.pair_products(K), dw, plan.obs_band_terms(A, dy))
     assert_close(band, _to_upper_banded(Qp, plan.bandwidth), tol=1e-12)
     u, r = rng.standard_normal(K.shape[0]), rng.standard_normal(A.shape[0])
-    assert_close(plan.rhs(K, A, u, r), K.T @ u + A.T @ r, tol=1e-12)
+    assert_close(plan.rhs(K, u, plan.obs_rhs_terms(A, r)), K.T @ u + A.T @ r, tol=1e-12)
 
     factor = SpdFactor(band, p)
     Qd = Q.toarray()
