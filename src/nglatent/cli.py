@@ -238,13 +238,19 @@ def _fmt(x) -> str:
 
 
 def write_table(path, header, rows):
+    """Write a CSV table.  A row that is a float array is formatted in one
+    pass, each value as the repr of a Python float, exactly as ``_fmt``
+    formats it one value at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            if isinstance(row, np.ndarray) and row.dtype.kind == "f":
+                writer.writerow(map(repr, row.tolist()))
+            else:
+                writer.writerow([_fmt(v) for v in row])
     return path
 
 
@@ -441,7 +447,7 @@ def run_fit(config: RunConfig, out_dir=None):
 
     if fit.posterior is not None:
         paths["posterior"] = write_table(
-            out / "posterior.csv", names, [list(r) for r in fit.posterior]
+            out / "posterior.csv", names, fit.posterior
         )
 
     window = min(opts.window, len(fit.traces))
@@ -530,17 +536,13 @@ def run_predict(config: RunConfig, fit_dir=None, out_dir=None):
     )
     qs = [float(q) for q in config.predict["quantiles"]]
     quant = pred.quantiles(qs)
+    mean, sd = pred.mean(), pred.sd()
     header = ["target", "mean", "sd"] + [f"q{q}" for q in qs]
-    rows = [
-        [labels[j], pred.mean()[j], pred.sd()[j]] + list(quant[:, j])
-        for j in range(labels.size)
-    ]
+    rows = [[labels[j], mean[j], sd[j]] + list(quant[:, j]) for j in range(labels.size)]
     paths = {}
     paths["predictions"] = write_table(out / "predictions.csv", header, rows)
     paths["samples"] = write_table(
-        out / "predictive_samples.csv",
-        [str(t) for t in labels],
-        [list(r) for r in pred.eta_star],
+        out / "predictive_samples.csv", [str(t) for t in labels], pred.eta_star
     )
     return pred, paths
 

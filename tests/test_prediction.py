@@ -160,6 +160,32 @@ class TestScoreReport:
         with pytest.raises(InputError):
             score_report(pred, np.zeros(4))
 
+    def test_one_sample_rejected(self):
+        pred = PredictiveSamples(eta_star=np.zeros((1, 3)), targets=np.arange(3))
+        with pytest.raises(InputError):
+            score_report(pred, np.zeros(3))
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_matches_the_per_column_scores(self, degenerate):
+        # the samples of all targets sorted at once against crps_sample and
+        # scrps_sample column by column; a zero-spread column leaves sCRPS
+        # undefined and CRPS defined
+        rng = np.random.default_rng(12)
+        m = 30
+        eta = rng.standard_normal((400, m)) * rng.uniform(0.1, 5.0, m) + rng.normal(size=m)
+        if degenerate:
+            eta[:, 7] = 1.25
+        y = rng.normal(size=m)
+        rep = score_report(PredictiveSamples(eta_star=eta, targets=np.arange(m)), y)
+        crps = np.mean([crps_sample(eta[:, j], y[j]) for j in range(m)])
+        assert rep.crps == pytest.approx(crps, rel=1e-13, abs=1e-13)
+        assert rep.scrps_undefined == degenerate
+        if degenerate:
+            assert np.isnan(rep.scrps)
+        else:
+            scrps = np.mean([scrps_sample(eta[:, j], y[j]) for j in range(m)])
+            assert rep.scrps == pytest.approx(scrps, rel=1e-13, abs=1e-13)
+
 
 class TestPosteriorPredict:
     def test_interpolation_limit_small_noise(self):
