@@ -181,15 +181,16 @@ def gig_moments(g: GigParams) -> Tuple[float, float]:
 # path.
 #
 # Each rejection round costs a fixed dozen numpy calls, tens of
-# microseconds, whatever the number of pending elements; at omega near
-# 0.25 a call over 600 elements takes five or six rounds, pending 600,
-# 163, 31, 9, 1.  So the first round makes one try per element and each
-# later round _TAIL_TRIES tries per pending element, keeping its first
-# accepted try.  The tries of an element are independent draws from the
+# microseconds, whatever the number of pending elements; at omega = 0.25
+# a call over 600 elements took 5.8 rounds on average, with about 600,
+# 161, 43, 12, 3 and 1 elements pending.  So the first round makes one
+# try per element and each later round _TAIL_TRIES tries per pending
+# element, keeping its first accepted try; the same call then takes two
+# or three rounds.  The tries of an element are independent draws from the
 # proposal, each with its own acceptance test, so the first accepted one
-# has the target law: the sampler stays exact.  _TAIL_TRIES = 4 was the
-# fastest of 2, 4 and 8 on the workloads' arrays; 8 tries cost more at
-# 20 000 elements, where the tail rounds are no longer overhead-bound.
+# has the target law: the sampler stays exact.  Of 2, 4 and 8 tries, 4
+# was the fastest overall: 2 was slower on the NIG conditionals of every
+# benchmark workload, and 8 at 2000 and 20 000 elements.
 # ---------------------------------------------------------------------------
 
 _WALD_MIN_OMEGA = 1e-10
