@@ -238,19 +238,13 @@ def _fmt(x) -> str:
 
 
 def write_table(path, header, rows):
-    """Write a CSV table.  A row that is a float array is formatted in one
-    pass, each value as the repr of a Python float, exactly as ``_fmt``
-    formats it one value at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            if isinstance(row, np.ndarray) and row.dtype.kind == "f":
-                writer.writerow(map(repr, row.tolist()))
-            else:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerow([_fmt(v) for v in row])
     return path
 
 
@@ -447,7 +441,7 @@ def run_fit(config: RunConfig, out_dir=None):
 
     if fit.posterior is not None:
         paths["posterior"] = write_table(
-            out / "posterior.csv", names, fit.posterior
+            out / "posterior.csv", names, [list(r) for r in fit.posterior]
         )
 
     window = min(opts.window, len(fit.traces))
@@ -542,7 +536,9 @@ def run_predict(config: RunConfig, fit_dir=None, out_dir=None):
     paths = {}
     paths["predictions"] = write_table(out / "predictions.csv", header, rows)
     paths["samples"] = write_table(
-        out / "predictive_samples.csv", [str(t) for t in labels], pred.eta_star
+        out / "predictive_samples.csv",
+        [str(t) for t in labels],
+        [list(r) for r in pred.eta_star],
     )
     return pred, paths
 

@@ -105,9 +105,9 @@ def _w_conditional(stage: _ThetaStage, v_w, v_y):
     plan, nw = mdl.plan, mdl.noise_w
     dw = nw.sigma**2 * v_w
     u = nw.mu * (v_w - nw.h) / dw
-    obs_band, obs_rhs = stage.obs or _obs_parts(mdl, stage.y0, v_y)
-    factor = SpdFactor(plan.band(stage.products, dw, obs_band), plan.order)
-    return factor.solve(plan.rhs(mdl.op.K, u, obs_rhs)), factor
+    band_terms, rhs_terms = stage.obs or _obs_parts(mdl, stage.y0, v_y)
+    factor = SpdFactor(plan.band(stage.products, dw, band_terms), plan.order)
+    return factor.solve(plan.rhs(mdl.op.K, u, rhs_terms)), factor
 
 
 def _obs_parts(mdl: Model, y0, v_y):

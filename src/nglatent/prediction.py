@@ -119,25 +119,39 @@ def _pairwise_mean_abs(x: np.ndarray):
     return 2.0 * total / (k * (k - 1))
 
 
+def _column_scores(x: np.ndarray, y: np.ndarray):
+    """CRPS and sCRPS of each column of a (k, m) sample array against its
+    observation in y, and which columns have zero spread (their sCRPS is
+    undefined and left NaN).  One sort of the samples serves every column."""
+    abs_err = np.mean(np.abs(x - y), axis=0)
+    spread = _pairwise_mean_abs(x)
+    degenerate = spread <= 0.0
+    s = np.where(degenerate, 1.0, spread)
+    scrps = np.where(degenerate, np.nan, abs_err / s + 0.5 * np.log(s))
+    return abs_err - 0.5 * spread, scrps, degenerate
+
+
+def _sample_column(samples, name: str) -> np.ndarray:
+    x = np.asarray(samples, dtype=float).ravel()
+    if x.size < 2:
+        raise InputError(f"{name} needs at least two samples")
+    return x[:, None]
+
+
 def crps_sample(samples, y: float) -> float:
     """Sample CRPS, negatively oriented; exactly 0 for a degenerate
     forecast concentrated on the observation."""
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 2:
-        raise InputError("crps_sample needs at least two samples")
-    return float(np.mean(np.abs(x - y)) - 0.5 * _pairwise_mean_abs(x))
+    crps, _, _ = _column_scores(_sample_column(samples, "crps_sample"), y)
+    return float(crps[0])
 
 
 def scrps_sample(samples, y: float) -> float:
     """Scaled sample CRPS, negatively oriented; undefined for degenerate
     samples (zero mean pairwise distance)."""
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 2:
-        raise InputError("scrps_sample needs at least two samples")
-    spread = _pairwise_mean_abs(x)
-    if spread <= 0.0:
+    _, scrps, degenerate = _column_scores(_sample_column(samples, "scrps_sample"), y)
+    if degenerate[0]:
         raise DegenerateSamplesError("scaled CRPS undefined for zero-spread samples")
-    return float(np.mean(np.abs(x - y)) / spread + 0.5 * np.log(spread))
+    return float(scrps[0])
 
 
 def score_report(pred: PredictiveSamples, y_true) -> ScoreReport:
@@ -154,18 +168,12 @@ def score_report(pred: PredictiveSamples, y_true) -> ScoreReport:
     mean = pred.mean()
     mae = float(np.mean(np.abs(mean - y)))
     mse = float(np.mean((mean - y) ** 2))
-    # one sort of the samples gives every target's spread; each column's
-    # terms are those of crps_sample and scrps_sample
-    abs_err = np.mean(np.abs(eta - y), axis=0)
-    spread = _pairwise_mean_abs(eta)
-    undefined = bool(np.any(spread <= 0.0))
-    scrps = float("nan")
-    if not undefined:
-        scrps = float(np.mean(abs_err / spread + 0.5 * np.log(spread)))
+    crps, scrps, degenerate = _column_scores(eta, y)
+    undefined = bool(np.any(degenerate))
     return ScoreReport(
         mae=mae,
         mse=mse,
-        crps=float(np.mean(abs_err - 0.5 * spread)),
-        scrps=scrps,
+        crps=float(np.mean(crps)),
+        scrps=float("nan") if undefined else float(np.mean(scrps)),
         scrps_undefined=undefined,
     )

