@@ -115,15 +115,19 @@ def _pairwise_mean_abs(x: np.ndarray):
     k = x.shape[0]
     gaps = np.diff(np.sort(x, axis=0), axis=0)
     i = np.arange(k - 1).reshape((-1,) + (1,) * (x.ndim - 1))
-    total = np.sum(gaps * (i + 1) * (k - 1 - i), axis=0)
-    return 2.0 * total / (k * (k - 1))
+    gaps *= i + 1
+    gaps *= k - 1 - i
+    return 2.0 * np.sum(gaps, axis=0) / (k * (k - 1))
 
 
 def _column_scores(x: np.ndarray, y: np.ndarray):
     """CRPS and sCRPS of each column of a (k, m) sample array against its
     observation in y, and which columns have zero spread (their sCRPS is
-    undefined and left NaN).  One sort of the samples serves every column."""
-    abs_err = np.mean(np.abs(x - y), axis=0)
+    undefined and left NaN).  One sort of the samples serves every column;
+    the (k, m) temporaries are worked in place, one or two at a time."""
+    err = x - y
+    abs_err = np.mean(np.abs(err, out=err), axis=0)
+    del err
     spread = _pairwise_mean_abs(x)
     degenerate = spread <= 0.0
     s = np.where(degenerate, 1.0, spread)
