@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -80,6 +81,17 @@ def _require(d: dict, key: str, ctx: str):
     return d[key]
 
 
+@contextmanager
+def _values_in(ctx: str, error=ConfigError):
+    """Turn a value that does not convert into an ``error`` naming ``ctx``."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError) as exc:
+        if isinstance(exc, NglatentError):
+            raise
+        raise error(f"invalid value in {ctx}: {exc}") from exc
+
+
 @dataclass
 class RunConfig:
     """Canonical, validated run configuration."""
@@ -99,6 +111,9 @@ class RunConfig:
             raise ConfigError("configuration root must be a mapping")
         if "seed" not in raw:
             raise ConfigError("missing required key seed")
+        for key in ("model", "data", "inference", "output", "simulate", "predict", "score"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise ConfigError(f"{key} must be a mapping")
         model = dict(_require(raw, "model", "<root>"))
         _require(model, "operator", "model")
         _require(model, "noise_w", "model")
@@ -113,16 +128,17 @@ class RunConfig:
         output.setdefault("dir", "out")
         data = dict(raw.get("data", {}))
         data.setdefault("missing", "NA")
-        return cls(
-            seed=int(raw["seed"]),
-            model=model,
-            data=data,
-            inference=inference,
-            output=output,
-            simulate=dict(raw.get("simulate", {})),
-            predict=predict,
-            score=dict(raw.get("score", {})),
-        )
+        with _values_in("seed"):
+            return cls(
+                seed=int(raw["seed"]),
+                model=model,
+                data=data,
+                inference=inference,
+                output=output,
+                simulate=dict(raw.get("simulate", {})),
+                predict=predict,
+                score=dict(raw.get("score", {})),
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -166,7 +182,7 @@ def build_operator(cfg, ctx: str = "model.operator"):
     if not isinstance(cfg, dict):
         raise ConfigError(f"{ctx} must be a mapping")
     kind = _require(cfg, "kind", ctx)
-    try:
+    with _values_in(ctx):
         if kind == "ar1":
             return ar1_operator(float(_require(cfg, "phi", ctx)), int(_require(cfg, "T", ctx)))
         if kind == "rw":
@@ -207,10 +223,6 @@ def build_operator(cfg, ctx: str = "model.operator"):
                 mesh,
                 int(_require(cfg, "T", ctx)),
             )
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, NglatentError):
-            raise
-        raise ConfigError(f"invalid value in {ctx}: {exc}") from exc
     raise ConfigError(f"unknown operator kind {kind!r} at {ctx}.kind")
 
 
@@ -218,12 +230,13 @@ def build_noise(cfg, ctx: str) -> NoiseSpec:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{ctx} must be a mapping")
     family = _require(cfg, "family", ctx)
-    return NoiseSpec(
-        family=family,
-        sigma=float(_require(cfg, "sigma", ctx)),
-        mu=float(cfg.get("mu", 0.0)),
-        nu=float(cfg["nu"]) if cfg.get("nu") is not None else None,
-    )
+    with _values_in(ctx):
+        return NoiseSpec(
+            family=family,
+            sigma=float(_require(cfg, "sigma", ctx)),
+            mu=float(cfg.get("mu", 0.0)),
+            nu=float(cfg["nu"]) if cfg.get("nu") is not None else None,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +271,8 @@ def read_table(path):
         raise InputError(f"data file not found: {path}") from exc
     except StopIteration as exc:
         raise InputError(f"data file {path} has no header row") from exc
+    if any(len(row) != len(header) for row in rows):
+        raise InputError(f"data file {path} has rows of other length than its header")
     return header, rows
 
 
@@ -266,6 +281,12 @@ def _column(header, rows, name, path):
         raise InputError(f"column {name!r} not found in {path} (header: {header})")
     j = header.index(name)
     return [row[j] for row in rows]
+
+
+def _numeric_column(header, rows, name, path, kind=float) -> np.ndarray:
+    cells = _column(header, rows, name, path)
+    with _values_in(f"column {name!r} of {path}", InputError):
+        return np.array([kind(v) for v in cells])
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +301,7 @@ def _observation_rows(config: RunConfig, n_latent: int, header, rows, path):
     op_cfg = config.model["operator"]
     m = len(rows)
     if "index" in data_cfg and data_cfg["index"]:
-        idx = np.array([int(float(v)) for v in _column(header, rows, data_cfg["index"], path)])
+        idx = _numeric_column(header, rows, data_cfg["index"], path, lambda v: int(float(v)))
         if np.any((idx < 0) | (idx >= n_latent)):
             raise InputError(
                 f"index column {data_cfg['index']!r} outside 0..{n_latent - 1}"
@@ -292,7 +313,7 @@ def _observation_rows(config: RunConfig, n_latent: int, header, rows, path):
                 "location-based observation requires a mesh operator (matern/ou/rw)"
             )
         mesh = build_mesh(op_cfg["mesh"], "model.operator")
-        loc = np.array([float(v) for v in _column(header, rows, data_cfg["location"], path)])
+        loc = _numeric_column(header, rows, data_cfg["location"], path)
         x = mesh.nodes
         if np.any(loc < x[0]) or np.any(loc > x[-1]):
             raise InputError("locations fall outside the mesh interval")
@@ -311,7 +332,7 @@ def _observation_rows(config: RunConfig, n_latent: int, header, rows, path):
                 (
                     np.ones(m)
                     if name == "intercept"
-                    else np.array([float(v) for v in _column(header, rows, name, path)])
+                    else _numeric_column(header, rows, name, path)
                 )
                 for name in covs
             ]
@@ -340,7 +361,7 @@ def _load_fit_inputs(config: RunConfig, n_latent: int):
     if not keep:
         raise InputError(f"no usable rows in {path} (all responses missing)")
     rows = [rows[i] for i in keep]
-    Y = np.array([float(v) for v in _column(header, rows, response, path)])
+    Y = _numeric_column(header, rows, response, path)
     A, X = _observation_rows(config, n_latent, header, rows, path)
     return Y, A, X
 
@@ -358,7 +379,8 @@ def run_simulate(config: RunConfig, out_dir=None):
     covs = config.model.get("covariates", [])
     rng = np.random.default_rng(config.seed)
     if covs:
-        beta = np.asarray(_require(config.simulate, "beta", "simulate"), dtype=float)
+        with _values_in("simulate.beta"):
+            beta = np.asarray(_require(config.simulate, "beta", "simulate"), dtype=float)
         if beta.shape != (len(covs),):
             raise ConfigError("simulate.beta length must match model.covariates")
         X = np.column_stack(
@@ -387,23 +409,24 @@ def run_simulate(config: RunConfig, out_dir=None):
 
 def _fit_options(config: RunConfig) -> FitOptions:
     inf = config.inference
-    return FitOptions(
-        chains=int(inf["chains"]),
-        max_iters=int(inf["max_iters"]),
-        min_iters=int(inf["min_iters"]),
-        k=int(inf["k"]),
-        estimator=str(inf["estimator"]),
-        step0=float(inf["step0"]),
-        decay_start=None if inf["decay_start"] is None else int(inf["decay_start"]),
-        checkpoint_every=int(inf["checkpoint_every"]),
-        window=int(inf["window"]),
-        seed=config.seed,
-        jitter=float(inf["jitter"]),
-        sgld_samples=int(inf["sgld_samples"]),
-        sgld_step0=float(inf["sgld_step0"]),
-        sgld_tau=float(inf["sgld_tau"]),
-        sgld_thin=int(inf["sgld_thin"]),
-    )
+    with _values_in("inference"):
+        return FitOptions(
+            chains=int(inf["chains"]),
+            max_iters=int(inf["max_iters"]),
+            min_iters=int(inf["min_iters"]),
+            k=int(inf["k"]),
+            estimator=str(inf["estimator"]),
+            step0=float(inf["step0"]),
+            decay_start=None if inf["decay_start"] is None else int(inf["decay_start"]),
+            checkpoint_every=int(inf["checkpoint_every"]),
+            window=int(inf["window"]),
+            seed=config.seed,
+            jitter=float(inf["jitter"]),
+            sgld_samples=int(inf["sgld_samples"]),
+            sgld_step0=float(inf["sgld_step0"]),
+            sgld_tau=float(inf["sgld_tau"]),
+            sgld_thin=int(inf["sgld_thin"]),
+        )
 
 
 def run_fit(config: RunConfig, out_dir=None):
@@ -490,9 +513,8 @@ def _rhat_drift_summary(names, rhat_values, drift, chains, window) -> dict:
 
 def _read_estimates(path, param_names):
     header, rows = read_table(path)
-    values = {}
-    for row in rows:
-        values[row[header.index("parameter")]] = float(row[header.index("estimate")])
+    names = _column(header, rows, "parameter", path)
+    values = dict(zip(names, _numeric_column(header, rows, "estimate", path)))
     missing = [n for n in param_names if n not in values]
     if missing:
         raise InputError(f"estimates file {path} lacks parameter(s) {missing}")
@@ -507,6 +529,9 @@ def run_predict(config: RunConfig, fit_dir=None, out_dir=None):
     Y, A, X = _load_fit_inputs(config, op.dim)
     model = build_model_from_config(config, op, A, X)
     theta = _read_estimates(fit_dir / "estimates.csv", model.param_names)
+    with _values_in("predict"):
+        k, burnin, thin = (int(config.predict[key]) for key in ("samples", "burnin", "thin"))
+        qs = [float(q) for q in config.predict["quantiles"]]
 
     targets_path = config.predict.get("targets")
     if targets_path:
@@ -522,13 +547,12 @@ def run_predict(config: RunConfig, fit_dir=None, out_dir=None):
         Y,
         A_star,
         X_star,
-        k=int(config.predict["samples"]),
+        k=k,
         seed=config.seed,
-        burnin=int(config.predict["burnin"]),
-        thin=int(config.predict["thin"]),
+        burnin=burnin,
+        thin=thin,
         targets=labels,
     )
-    qs = [float(q) for q in config.predict["quantiles"]]
     quant = pred.quantiles(qs)
     mean, sd = pred.mean(), pred.sd()
     header = ["target", "mean", "sd"] + [f"q{q}" for q in qs]
@@ -549,10 +573,13 @@ def run_score(config: RunConfig, out_dir=None):
     samples_path = _require(config.score, "samples", "score")
     truth_path = _require(config.score, "truth", "score")
     header, rows = read_table(samples_path)
-    eta = np.array([[float(v) for v in row] for row in rows])
+    if not rows:
+        raise InputError(f"samples file {samples_path} has no sample rows")
+    with _values_in(str(samples_path), InputError):
+        eta = np.array([[float(v) for v in row] for row in rows])
     t_header, t_rows = read_table(truth_path)
     response = config.score.get("response", config.data.get("response", "y"))
-    y = np.array([float(v) for v in _column(t_header, t_rows, response, truth_path)])
+    y = _numeric_column(t_header, t_rows, response, truth_path)
     if y.size != eta.shape[1]:
         raise InputError(
             f"{truth_path} has {y.size} rows but {samples_path} has {eta.shape[1]} targets"

@@ -410,8 +410,8 @@ def gig_sample(rng, g: GigParams, size=None):
 class NoiseSpec:
     """One noise block: family plus (mu, sigma, nu) and mesh weights h.
 
-    The Gaussian family ignores mu and nu; NIG and GAL require nu > 0.
-    len(h) is the block dimension.
+    mu must be finite; the Gaussian family, whose V is h, ignores it and
+    nu.  NIG and GAL require nu > 0.  len(h) is the block dimension.
     """
 
     family: str
@@ -425,13 +425,11 @@ class NoiseSpec:
             raise UnsupportedFamilyError(f"unknown noise family {self.family!r}")
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ParameterDomainError(f"sigma must be positive, got {self.sigma}")
+        if not np.isfinite(self.mu):
+            raise ParameterDomainError(f"mu must be finite, got {self.mu}")
         if self.family != GAUSSIAN:
             if self.nu is None or not (np.isfinite(self.nu) and self.nu > 0):
-                raise ParameterDomainError(
-                    f"{self.family} noise requires nu > 0, got {self.nu}"
-                )
-            if not np.isfinite(self.mu):
-                raise ParameterDomainError(f"mu must be finite, got {self.mu}")
+                raise ParameterDomainError(f"{self.family} noise requires nu > 0, got {self.nu}")
         if self.h is not None:
             h = np.asarray(self.h, dtype=float)
             if h.ndim != 1 or h.size == 0 or np.any(h <= 0) or not np.all(np.isfinite(h)):
@@ -445,6 +443,12 @@ class NoiseSpec:
     def with_h(self, h) -> "NoiseSpec":
         return NoiseSpec(self.family, self.sigma, self.mu, self.nu, np.asarray(h, float))
 
+    @property
+    def param_names(self) -> Tuple[str, ...]:
+        """The block's parameters in the order of the model's theta:
+        Gaussian noise has sigma only, NIG and GAL (mu, sigma, nu)."""
+        return ("sigma",) if self.family == GAUSSIAN else ("mu", "sigma", "nu")
+
     def with_params(self, mu=None, sigma=None, nu=None) -> "NoiseSpec":
         return NoiseSpec(
             self.family,
@@ -455,30 +459,52 @@ class NoiseSpec:
         )
 
 
-def mixing_prior(spec: NoiseSpec, i: int) -> GigParams:
-    """GIG prior of the i-th mixing variable (0-based index).
-
-    NIG uses the inverse-Gaussian parameterization GIG(-1/2, nu, nu*h_i^2)
-    and GAL the Gamma one GIG(h_i*nu, 2*nu, 0); both have mean h_i.
-    """
+def _prior_law(spec: NoiseSpec, h):
+    """(p, a, b) of the GIG prior of mixing variables with weights h, a
+    float or an array: NIG takes the inverse-Gaussian GIG(-1/2, nu, nu h^2)
+    and GAL the Gamma GIG(h nu, 2 nu, 0); both have mean h."""
     if spec.family == GAUSSIAN:
         raise UnsupportedFamilyError("Gaussian noise has no mixing variables")
-    if not 0 <= i < spec.dim:
-        raise ParameterDomainError(f"index {i} outside noise block of size {spec.dim}")
-    h_i = float(spec.h[i])
     if spec.family == NIG:
-        return GigParams(-0.5, spec.nu, spec.nu * h_i**2)
-    return GigParams(h_i * spec.nu, 2.0 * spec.nu, 0.0)
+        return -0.5, spec.nu, spec.nu * h**2
+    return h * spec.nu, 2.0 * spec.nu, 0.0
 
 
 def mixing_prior_arrays(spec: NoiseSpec):
     """(p, a, b) arrays of the mixing priors for the whole block."""
+    return tuple(np.full_like(spec.h, x) for x in _prior_law(spec, spec.h))
+
+
+def mixing_prior(spec: NoiseSpec, i: int) -> GigParams:
+    """GIG prior of the i-th mixing variable (0-based index)."""
+    law = mixing_prior_arrays(spec)
+    if not 0 <= i < spec.dim:
+        raise ParameterDomainError(f"index {i} outside noise block of size {spec.dim}")
+    return GigParams(*(float(x[i]) for x in law))
+
+
+def _log_prior_v(spec: NoiseSpec, v) -> float:
+    """log pi(V) of a block's mixing variables v; 0 for Gaussian noise,
+    whose V is fixed at h."""
+    h, nu = spec.h, spec.nu
     if spec.family == GAUSSIAN:
-        raise UnsupportedFamilyError("Gaussian noise has no mixing variables")
-    h = spec.h
+        return 0.0
     if spec.family == NIG:
-        return np.full_like(h, -0.5), np.full_like(h, spec.nu), spec.nu * h**2
-    return h * spec.nu, np.full_like(h, 2.0 * spec.nu), np.zeros_like(h)
+        terms = 0.5 * np.log(nu * h**2 / (2.0 * np.pi * v**3)) - 0.5 * nu * (v**2 + h**2) / v
+        terms = terms + nu * h
+    else:
+        terms = -v * nu + h * nu * np.log(v * nu) - np.log(v) - special.gammaln(h * nu)
+    return float(np.sum(terms))
+
+
+def _nu_grad(spec: NoiseSpec, v):
+    """d/dnu of log pi(V): a float, or one value per row of a (k, n) ``v``."""
+    h, nu = spec.h, spec.nu
+    if spec.family == NIG:
+        terms = -(h**2) / (2.0 * v) - 0.5 * v + 0.5 / nu + h
+    else:
+        terms = h - v + h * np.log(v) + h * np.log(nu) - h * special.psi(h * nu)
+    return np.sum(terms, axis=-1)
 
 
 def gh_noise_sample(rng, spec: NoiseSpec):
@@ -489,12 +515,8 @@ def gh_noise_sample(rng, spec: NoiseSpec):
     """
     h = spec.h
     z = rng.standard_normal(spec.dim)
-    if spec.family == GAUSSIAN:
-        return spec.sigma * np.sqrt(h) * z, h.copy()
-    p, a, b = mixing_prior_arrays(spec)
-    v = gig_sample_many(rng, p, a, b)
-    eps = spec.mu * (v - h) + spec.sigma * np.sqrt(v) * z
-    return eps, v
+    v = h.copy() if spec.family == GAUSSIAN else gig_sample_many(rng, *mixing_prior_arrays(spec))
+    return spec.mu * (v - h) + spec.sigma * np.sqrt(v) * z, v
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +542,7 @@ def noise_logpdf(spec: NoiseSpec, x, h: float = 1.0):
     if spec.family == GAUSSIAN:
         out = -0.5 * np.log(2.0 * np.pi * sig2 * h) - 0.5 * x**2 / (sig2 * h)
         return float(out) if out.ndim == 0 else out
-    if spec.family == NIG:
-        g = GigParams(-0.5, spec.nu, spec.nu * h**2)
-    else:
-        g = GigParams(h * spec.nu, 2.0 * spec.nu, 0.0)
+    g = GigParams(*_prior_law(spec, h))
     centered = x + spec.mu * h
     q = g.p - 0.5
     big_a = g.a + spec.mu**2 / sig2

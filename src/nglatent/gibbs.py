@@ -20,12 +20,14 @@ is one conditional path; ``sample_w`` and ``conditional_w_params``
 leave the A terms to the draw and use the V_Y they are given.
 
 Several chains can sweep in lockstep (``lockstep_sweep``): each chain
-draws W from its own conditional with its own rng, then one
-``gig_sample_many`` call on a shared mixing stream draws the process
-mixing variables of every chain, and one more call their measurement
-mixing variables.  The sampler acts elementwise, so each chain's draws
-keep their law.  A single ``GibbsChain`` is the one-chain case, with its
-own rng as the mixing stream; its draws come in the order W, V_W, V_Y.
+draws W from its own conditional with its own rng, then a shared
+mixing stream draws the mixing variables of all chains.  Both blocks
+take one path (``_draw_v``), process block first: the non-Gaussian
+blocks of one kind, over all chains, share one ``gig_sample_many``
+call, and a Gaussian block keeps V = h.  The sampler acts elementwise,
+so each chain's draws keep their law.  A single ``GibbsChain`` is the
+one-chain case, with its own rng as the mixing stream; its draws come
+in the order W, V_W, V_Y.
 """
 
 from __future__ import annotations
@@ -73,8 +75,9 @@ def _prepared(model: Model, theta) -> Model:
 class _ThetaStage:
     """What the W | V, Y conditional and the mixing draws take from one
     parameter value and the data, built once and read by every draw at
-    that value: K's pair products for Q's band, Y - X beta, and the
-    per-theta arrays of each non-Gaussian mixing block (``_gig_block``).
+    that value: K's pair products for Q's band, Y - X beta, and per
+    mixing block, process then measurement, its noise (``noises``) and,
+    unless it is Gaussian, its per-theta GIG arrays (``gig``).
     A Gaussian measurement block has V_Y = 1 in the sampler, so its A
     terms of Q's band and of the right-hand side are fixed too (``obs``).
     ``obs`` is None when V_Y is drawn, or when ``fix_v_y`` is false and
@@ -82,15 +85,18 @@ class _ThetaStage:
 
     def __init__(self, model: Model, Y, fix_v_y: bool = True):
         self.model = model
-        plan, noise_y = model.plan, model.noise_y
-        self.products = plan.pair_products(model.op.K)
+        self.products = model.plan.pair_products(model.op.K)
         self.y0 = np.asarray(Y, dtype=float) - model.X @ model.beta
-        self.gig_w = None if model.noise_w.family == GAUSSIAN else _gig_block(model.noise_w)
-        self.gig_y = None if noise_y.family == GAUSSIAN else _gig_block(noise_y)
-        self.obs = None
-        if self.gig_y is None and fix_v_y:
-            dy = np.full(model.m, noise_y.sigma**2)
-            self.obs = plan.obs_band_terms(model.A, dy), plan.obs_rhs_terms(model.A, self.y0 / dy)
+        self.noises = model.noise_w, model.noise_y
+        self.gig = tuple(None if nz.family == GAUSSIAN else _gig_block(nz) for nz in self.noises)
+        fixed = self.gig[1] is None and fix_v_y
+        self.obs = _obs_parts(model, self.y0, np.ones(model.m)) if fixed else None
+
+    def residual(self, block: int, w):
+        """The residuals at W of mixing block 0, the process (K W), or of
+        block 1, the measurement (Y - X beta - A W)."""
+        mdl = self.model
+        return mdl.op.K @ w if block == 0 else self.y0 - mdl.A @ w
 
 
 def _w_conditional(stage: _ThetaStage, v_w, v_y):
@@ -175,22 +181,19 @@ def _gig_draw(rng, blocks):
 
 def _draw_v(rng, stages, ws):
     """V_W and V_Y of each of several chains, given its per-theta stage and
-    its W.  Gaussian blocks keep V = h; the non-Gaussian process blocks of
-    all chains take one GIG call, then their non-Gaussian measurement
-    blocks one more."""
-    v_w = [s.model.noise_w.h.copy() for s in stages]
-    v_y = [np.ones(s.model.m) for s in stages]
-    proc = [i for i, s in enumerate(stages) if s.gig_w is not None]
-    if proc:
-        blocks = [(stages[i].gig_w, stages[i].model.op.K @ ws[i]) for i in proc]
-        for i, v in zip(proc, _gig_draw(rng, blocks)):
-            v_w[i] = v
-    meas = [i for i, s in enumerate(stages) if s.gig_y is not None]
-    if meas:
-        blocks = [(stages[i].gig_y, stages[i].y0 - stages[i].model.A @ ws[i]) for i in meas]
-        for i, v in zip(meas, _gig_draw(rng, blocks)):
-            v_y[i] = v
-    return v_w, v_y
+    its W.  Both blocks take one path, process first: the non-Gaussian
+    blocks of all chains take one GIG call, and a Gaussian block gets a
+    copy of its weights h."""
+    out = []
+    for block in (0, 1):
+        drawn = [i for i, s in enumerate(stages) if s.gig[block] is not None]
+        v = [s.noises[block].h.copy() if s.gig[block] is None else None for s in stages]
+        if drawn:
+            blocks = [(stages[i].gig[block], stages[i].residual(block, ws[i])) for i in drawn]
+            for i, v_i in zip(drawn, _gig_draw(rng, blocks)):
+                v[i] = v_i
+        out.append(v)
+    return out
 
 
 def sample_v(rng, model: Model, theta, W, Y) -> Tuple[np.ndarray, np.ndarray]:
@@ -219,8 +222,7 @@ class GibbsChain:
         self.Y = np.asarray(Y, dtype=float)
         self._stage = _ThetaStage(_prepared(model, theta), self.Y)
         self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        self.v_w = self.model.noise_w.h.copy()
-        self.v_y = np.ones(self.model.m)
+        self.v_w, self.v_y = (nz.h.copy() for nz in self._stage.noises)
         self.w = None
         self._cond = None
 

@@ -3,12 +3,15 @@ Rao-Blackwellized estimators of the negative log-posterior gradient.
 
 The augmented likelihood splits as
     log pi(Y | W) + log pi(W | V) + log pi(V),
-with a Gaussian observation block (the only fittable measurement family),
-log det K entering the process block, and family-specific mixing terms
-(inverse-Gaussian or Gamma).  Gradients are derived per parameter on the
-natural scale and chain-ruled onto the unconstrained optimization scale.
-The operator supplies log det K and its gradient tr(K^-1 dK/dtheta)
-itself (``LatentOperator.logdet_grad``).
+one term per noise block plus log det K.  Both blocks go through the
+same two functions of the block's centered noise e, mixing variables v
+and sum e^2 / v: ``_noise_loglik`` (its log density) and ``_noise_rows``
+(the gradient rows of its parameters, in its layout order).  The
+measurement block, Gaussian as the only fittable measurement family,
+has e = Y - X beta - A W and v = 1.  Gradients are derived per
+parameter on the natural scale and chain-ruled onto the unconstrained
+optimization scale.  The operator supplies log det K and its gradient
+tr(K^-1 dK/dtheta) itself (``LatentOperator.logdet_grad``).
 
 One expression (``_grad_rows``) gives the gradient for k latent states
 at once, one row each, over stacked (k, n) arrays.  At drawn W it is the
@@ -30,10 +33,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from ._linalg import BandedSigma, sigma_cross_quad_diag, sigma_obs_quad_trace, sigma_quad_diag
-from .distributions import GAUSSIAN, NIG
+from .distributions import GAUSSIAN, _log_prior_v, _nu_grad
 from .errors import InputError, ParameterDomainError, ParameterLookupError, UnsupportedFamilyError
 from .gibbs import _ThetaStage, _w_conditional
 from .model import LatentState, Model, PriorSet
@@ -83,61 +85,24 @@ def _mixing(draws):
     return v_w, v_y
 
 
-def _log_prior_v(mdl: Model, v_w) -> float:
-    nw = mdl.noise_w
-    h = nw.h
-    if nw.family == GAUSSIAN:
-        return 0.0
-    if nw.family == NIG:
-        nu = nw.nu
-        return float(
-            np.sum(
-                0.5 * np.log(nu * h**2 / (2.0 * np.pi * v_w**3))
-                - 0.5 * nu * (v_w**2 + h**2) / v_w
-                + nu * h
-            )
-        )
-    nu = nw.nu
-    return float(
-        np.sum(
-            -v_w * nu
-            + h * nu * np.log(v_w * nu)
-            - np.log(v_w)
-            - special.gammaln(h * nu)
-        )
-    )
+def _noise_loglik(noise, sq, v) -> float:
+    """log pi(e | V) + log pi(V) of one noise block, from its mixing
+    variables v and sq = sum e^2 / v over its centered noise e."""
+    d, sig = noise.dim, noise.sigma
+    ll = -0.5 * d * np.log(2.0 * np.pi) - d * np.log(sig) - 0.5 * np.sum(np.log(v))
+    return ll - 0.5 * sq / sig**2 + _log_prior_v(noise, v)
 
 
 def augmented_loglik(model: Model, theta, Y, state: LatentState) -> float:
     """Joint log density log pi(Y, W, V) at the given latent state."""
     mdl = _prepared(model, theta)
     _mixing([state])
-    m, n = mdl.m, mdl.n
     r = Y - mdl.X @ mdl.beta - mdl.A @ state.W
-    sig_eps = mdl.noise_y.sigma
-    ll = -0.5 * m * np.log(2.0 * np.pi) - m * np.log(sig_eps)
-    ll -= 0.5 * np.sum(r**2) / sig_eps**2
-
     nw = mdl.noise_w
     e = mdl.op.K @ state.W - nw.mu * (state.V_W - nw.h)
-    ll += -0.5 * n * np.log(2.0 * np.pi) - n * np.log(nw.sigma)
-    ll += mdl.op.logdet_grad()[0]
-    ll -= 0.5 * np.sum(np.log(state.V_W))
-    ll -= 0.5 * np.sum(e**2 / state.V_W) / nw.sigma**2
-
-    ll += _log_prior_v(mdl, state.V_W)
-    return float(ll)
-
-
-def _nu_grad(mdl: Model, v_w):
-    """d/dnu of log pi(V): a float, or one value per row of a (k, n) ``v_w``."""
-    nw = mdl.noise_w
-    h = nw.h
-    if nw.family == NIG:
-        terms = -(h**2) / (2.0 * v_w) - 0.5 * v_w + 0.5 / nw.nu + h
-    else:
-        terms = h - v_w + h * np.log(v_w) + h * np.log(nw.nu) - h * special.psi(h * nw.nu)
-    return np.sum(terms, axis=-1)
+    ll = _noise_loglik(mdl.noise_y, np.sum(r**2), 1.0)
+    ll += _noise_loglik(nw, np.sum(e**2 / state.V_W), state.V_W)
+    return float(ll + mdl.op.logdet_grad()[0])
 
 
 def trace_kinv_dk(op) -> dict:
@@ -145,6 +110,19 @@ def trace_kinv_dk(op) -> dict:
 
     The traced benchmark (``perfbench/layers.py``) wraps this name."""
     return op.logdet_grad()[1]
+
+
+def _noise_rows(noise, sq, e, v):
+    """Gradient rows of one noise block's parameters, in its layout order
+    (``noise.param_names``), one value per row of its centered noise e
+    with mixing variables v; sq is sum e^2 / v per row, with any
+    covariance term already in."""
+    sig = noise.sigma
+    rows = {"sigma": -noise.dim / sig + sq / sig**3}
+    if noise.family != GAUSSIAN:
+        rows["mu"] = np.sum(e * (v - noise.h) / v, axis=1) / sig**2
+        rows["nu"] = _nu_grad(noise, v)
+    return [rows[k] for k in noise.param_names]
 
 
 def _grad_rows(mdl: Model, Y, W, v_w, sigma: Optional[BandedSigma] = None):
@@ -164,23 +142,16 @@ def _grad_rows(mdl: Model, Y, W, v_w, sigma: Optional[BandedSigma] = None):
     sq_r = np.sum(r**2, axis=1)
     if sigma is not None:
         sq_r = sq_r + sigma_obs_quad_trace(sigma, mdl.A, plan.aa)
-    sig_eps = mdl.noise_y.sigma
-    parts = [r @ mdl.X / sig_eps**2]
-    parts.append(-mdl.m / sig_eps + sq_r / sig_eps**3)
+    parts = [r @ mdl.X / mdl.noise_y.sigma**2]
+    parts += _noise_rows(mdl.noise_y, sq_r, r, 1.0)
 
     e = (K @ W.T).T - nw.mu * (v_w - nw.h)
     sq_e = e**2
     if sigma is not None:
         sq_e = sq_e + sigma_quad_diag(sigma, K, plan.kk)
-    sig = nw.sigma
-    g_sigma = -mdl.n / sig + np.sum(sq_e / v_w, axis=1) / sig**3
-    if nw.family != GAUSSIAN:
-        g_mu = np.sum(e * (v_w - nw.h) / v_w, axis=1) / sig**2
-        parts += [g_mu, g_sigma, _nu_grad(mdl, v_w)]
-    else:
-        parts.append(g_sigma)
+    parts += _noise_rows(nw, np.sum(sq_e / v_w, axis=1), e, v_w)
 
-    ev = e / v_w
+    sig, ev = nw.sigma, e / v_w
     for name in mdl.op.params:
         dK = mdl.op.dK[name]
         quad = (dK @ W.T).T * ev

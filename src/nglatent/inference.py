@@ -263,7 +263,6 @@ def moment_start(model: Model, Y) -> np.ndarray:
     """Deterministic moment-based starting point on the natural scale."""
     Y = np.asarray(Y, dtype=float)
     theta = model.theta_natural().copy()
-    names = model.param_names
     p = model.p
     if p > 0:
         beta, *_ = np.linalg.lstsq(model.X, Y, rcond=None)
@@ -272,12 +271,10 @@ def moment_start(model: Model, Y) -> np.ndarray:
     else:
         resid = Y
     var_r = max(float(resid.var()), 1e-4)
-    theta[list(names).index("sigma_eps")] = np.sqrt(0.5 * var_r)
     sig0 = np.sqrt(0.5 * var_r / float(np.mean(model.noise_w.h)))
-    theta[list(names).index("sigma")] = sig0
-    if "mu" in names:
-        theta[list(names).index("mu")] = 0.0
-        theta[list(names).index("nu")] = 1.0
+    start = {"sigma_eps": np.sqrt(0.5 * var_r), "sigma": sig0, "mu": 0.0, "nu": 1.0}
+    for i, name in enumerate(model.param_names):
+        theta[i] = start.get(name, theta[i])
     return theta
 
 

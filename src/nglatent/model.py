@@ -1,15 +1,14 @@
 """Full model assembly and forward simulation.
 
 A model couples an observation matrix A, covariates X, one latent
-operator, and two noise blocks (process and measurement).  The free
-parameter vector theta is enumerated in a fixed documented order:
-
-    beta[0..p-1], sigma_eps, [mu, sigma, nu | sigma], kernel parameters
-
-where the middle block depends on the process noise family (Gaussian
-noise carries only sigma) and kernel parameters follow the operator's
-own ordering.  Measurement noise parameters beyond sigma_eps are held
-fixed: only Gaussian measurement noise is fittable.
+operator and two noise blocks (``NoiseSpec``): the process block drives
+K W, the measurement block perturbs A W + X beta.  Theta is laid out
+block by block: beta[0..p-1]; the measurement block's sigma_eps alone
+(its mu and nu stay fixed: only Gaussian measurement noise is fittable);
+the process block's own parameters in its order (``param_names``: sigma
+for Gaussian noise, mu, sigma, nu otherwise); then the kernel parameters
+in the operator's order.  Each noise parameter's transform follows from
+its name, so no noise family is named here.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from scipy.sparse.linalg import splu
 
 from . import transforms as tr
 from ._linalg import StructurePlan
-from .distributions import GAUSSIAN, NoiseSpec, gh_noise_sample
+from .distributions import NoiseSpec, gh_noise_sample
 from .errors import AssemblyError, FactorizationError
 from .operators import LatentOperator
 
@@ -95,13 +94,9 @@ def default_priors(param_names, h_process) -> PriorSet:
     """Weakly informative defaults: Normal(0, 10) on the unconstrained
     scale, except nu which gets 1/nu ~ Exp(ln 2 / median(h))."""
     lam = np.log(2.0) / float(np.median(h_process))
-    entries = {}
-    for name in param_names:
-        if name == "nu":
-            entries[name] = InverseExpPrior(rate=lam)
-        else:
-            entries[name] = NormalPrior(0.0, 10.0)
-    return PriorSet(entries)
+    return PriorSet(
+        {n: InverseExpPrior(rate=lam) if n == "nu" else NormalPrior(0.0, 10.0) for n in param_names}
+    )
 
 
 def flat_priors(param_names) -> PriorSet:
@@ -149,13 +144,9 @@ class Model:
         return len(self.param_names)
 
     def theta_natural(self) -> np.ndarray:
-        vals = list(self.beta) + [self.noise_y.sigma]
-        if self.noise_w.family != GAUSSIAN:
-            vals += [self.noise_w.mu, self.noise_w.sigma, self.noise_w.nu]
-        else:
-            vals += [self.noise_w.sigma]
-        vals += [self.op.params[k] for k in self.op.params]
-        return np.array(vals, dtype=float)
+        nw = self.noise_w
+        vals = [*self.beta, self.noise_y.sigma, *(getattr(nw, k) for k in nw.param_names)]
+        return np.array(vals + list(self.op.params.values()), dtype=float)
 
     def with_theta(self, theta_natural) -> "Model":
         """Rebuild the model at a new natural-scale parameter vector."""
@@ -164,41 +155,39 @@ class Model:
             raise AssemblyError(
                 f"theta has length {theta.shape}, model has {self.n_params} parameters"
             )
-        pos = self.p
-        beta = theta[: self.p].copy()
-        sigma_eps = float(theta[pos])
-        pos += 1
-        noise_y = self.noise_y.with_params(sigma=sigma_eps)
-        if self.noise_w.family != GAUSSIAN:
-            mu, sig, nu = theta[pos], theta[pos + 1], theta[pos + 2]
-            pos += 3
-            noise_w = self.noise_w.with_params(mu=float(mu), sigma=float(sig), nu=float(nu))
-        else:
-            noise_w = self.noise_w.with_params(sigma=float(theta[pos]))
-            pos += 1
-        kernel = dict(zip(self.op.params, theta[pos:]))
+        p, names = self.p, self.noise_w.param_names
+        end = p + 1 + len(names)
+        noise_y = self.noise_y.with_params(sigma=float(theta[p]))
+        noise_w = self.noise_w.with_params(
+            **{k: float(x) for k, x in zip(names, theta[p + 1 : end])}
+        )
+        kernel = dict(zip(self.op.params, theta[end:]))
         op = self.op.with_params(kernel) if kernel else self.op
-        return replace(self, op=op, noise_w=noise_w, noise_y=noise_y, beta=beta)
+        return replace(self, op=op, noise_w=noise_w, noise_y=noise_y, beta=theta[:p].copy())
 
     def theta_unconstrained(self) -> np.ndarray:
         return tr.to_unconstrained(self.theta_natural(), self.transform_tags)
 
 
+# transform tag of each noise parameter, by name
+_NOISE_TAGS = {"mu": tr.IDENTITY, "sigma": tr.LOG, "nu": tr.LOG}
+
+
 def _param_layout(X, op, noise_w):
-    names = [f"beta[{i}]" for i in range(X.shape[1])]
-    tags = [tr.IDENTITY] * X.shape[1]
-    names.append("sigma_eps")
-    tags.append(tr.LOG)
-    if noise_w.family != GAUSSIAN:
-        names += ["mu", "sigma", "nu"]
-        tags += [tr.IDENTITY, tr.LOG, tr.LOG]
-    else:
-        names.append("sigma")
-        tags.append(tr.LOG)
-    for k in op.params:
-        names.append(k)
-        tags.append(op.transforms[k])
-    return tuple(names), tuple(tags)
+    """Names and transform tags of theta, block by block."""
+    p = X.shape[1]
+    names = [f"beta[{i}]" for i in range(p)] + ["sigma_eps", *noise_w.param_names, *op.params]
+    tags = [tr.IDENTITY] * p + [tr.LOG] + [_NOISE_TAGS[k] for k in noise_w.param_names]
+    return tuple(names), tuple(tags + [op.transforms[k] for k in op.params])
+
+
+def _weighted(noise: NoiseSpec, h, message: str) -> NoiseSpec:
+    """The noise block with weights h; weights it already has must equal h."""
+    if noise.h is None:
+        return noise.with_h(h)
+    if noise.dim != h.size or not np.allclose(noise.h, h):
+        raise AssemblyError(message)
+    return noise
 
 
 def assemble_model(
@@ -234,18 +223,8 @@ def assemble_model(
         raise AssemblyError(
             f"covariate matrix X has {X.shape[0]} rows but A has {m}"
         )
-    if noise_w.h is None:
-        noise_w = noise_w.with_h(op.h)
-    elif noise_w.dim != op.dim or not np.allclose(noise_w.h, op.h):
-        raise AssemblyError("process noise weights (noise_w.h) must equal op.h")
-    if noise_y.h is None:
-        noise_y = noise_y.with_h(np.ones(m))
-    elif noise_y.dim != m:
-        raise AssemblyError(
-            f"measurement noise block has length {noise_y.dim} but A has {m} rows"
-        )
-    elif not np.allclose(noise_y.h, 1.0):
-        raise AssemblyError("measurement noise weights (noise_y.h) must be all ones")
+    noise_w = _weighted(noise_w, op.h, "process noise weights (noise_w.h) must equal op.h")
+    noise_y = _weighted(noise_y, np.ones(m), "measurement noise weights (noise_y.h) must all be 1")
     beta = np.zeros(X.shape[1]) if beta is None else np.asarray(beta, dtype=float)
     if beta.shape != (X.shape[1],):
         raise AssemblyError(

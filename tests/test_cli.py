@@ -251,13 +251,21 @@ class TestFit:
     @pytest.mark.parametrize(
         "key, value",
         [("chains", 0), ("checkpoint_every", 0), ("sgld_thin", 0), ("max_iters", -1),
-         ("window", 2), ("sgld_samples", -1)],
+         ("window", 2), ("sgld_samples", -1), ("chains", "two"),
+         ("data.y", "1.5x"), ("data.index", "third")],
     )
     def test_invalid_option_exit_code(self, tmp_path, key, value):
+        # an inference option, or with "data." a cell of the data file
         raw = base_config(tmp_path, n=20, max_iters=10, sgld=5)
-        raw["inference"][key] = value
+        section, _, name = key.rpartition(".")
+        if not section:
+            raw["inference"][key] = value
         path = write_config(tmp_path, raw)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        if section == "data":
+            header, rows = read_table(tmp_path / "data.csv")
+            rows[3][header.index(name)] = value
+            write_table(tmp_path / "data.csv", header, rows)
         assert main(["fit", "--config", str(path)]) == EXIT_CONFIG
         assert not (tmp_path / "out" / "estimates.csv").exists()
 
@@ -379,9 +387,19 @@ class TestScore:
         rep, _ = run_score(cfg)
         assert abs(rep.crps - 0.23369) < 0.01
 
-    def test_misaligned_files(self, tmp_path):
-        write_table(tmp_path / "s.csv", ["0", "1"], [[1.0, 2.0], [1.5, 2.5]])
-        write_table(tmp_path / "t.csv", ["y"], [[1.0]])
+    @pytest.mark.parametrize(
+        "samples, truth",
+        [
+            ([[1.0, 2.0], [1.5, 2.5]], [[1.0]]),
+            ([[1.0, "2.0e"], [1.5, 2.5]], [[1.0], [2.0]]),
+            ([[1.0, 2.0], [1.5]], [[1.0], [2.0]]),
+            ([], [[1.0], [2.0]]),
+        ],
+        ids=["misaligned", "non-numeric", "ragged", "header-only"],
+    )
+    def test_misaligned_files(self, tmp_path, samples, truth):
+        write_table(tmp_path / "s.csv", ["0", "1"], samples)
+        write_table(tmp_path / "t.csv", ["y"], truth)
         raw = base_config(tmp_path)
         raw["score"] = {"samples": str(tmp_path / "s.csv"), "truth": str(tmp_path / "t.csv")}
         path = write_config(tmp_path, raw)
@@ -487,7 +505,23 @@ class TestMainEntry:
         b = (tmp_path / "b" / "data.csv").read_bytes()
         assert a != b
 
-    def test_bad_config_exit_code(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value",
+        [(None, None), ("seed", "eleven"), ("inference", [1, 2]),
+         ("model.noise_w.sigma", "wide")],
+        ids=["model-only", "seed", "inference-list", "noise-sigma"],
+    )
+    def test_bad_config_exit_code(self, tmp_path, key, value):
         path = tmp_path / "config.yaml"
-        path.write_text("model: {}\n")
-        assert main(["fit", "--config", str(path)]) == EXIT_CONFIG
+        if key is None:
+            path.write_text("model: {}\n")
+        else:
+            raw = base_config(tmp_path)
+            *parents, name = key.split(".")
+            node = raw
+            for parent in parents:
+                node = node[parent]
+            node[name] = value
+            write_config(tmp_path, raw)
+        for command in ("simulate", "fit"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG

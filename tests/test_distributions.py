@@ -366,6 +366,12 @@ class TestNoiseSpec:
         with pytest.raises(ParameterDomainError):
             NoiseSpec("nig", sigma=1.0, mu=0.0, nu=None, h=np.ones(2))
 
+    @pytest.mark.parametrize("family", ["gaussian", "nig"])
+    def test_mu_must_be_finite(self, family):
+        # a Gaussian block's noise is mu (V - h) + sigma sqrt(V) Z at V = h too
+        with pytest.raises(ParameterDomainError):
+            NoiseSpec(family, sigma=1.0, mu=np.inf, nu=1.0, h=np.ones(2))
+
     def test_unknown_family(self):
         with pytest.raises(UnsupportedFamilyError):
             NoiseSpec("cauchy", sigma=1.0, h=np.ones(2))

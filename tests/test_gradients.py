@@ -93,9 +93,9 @@ class TestAugmentedLoglik:
         model = make_model("nig", n=7, nu=nu)
         state = LatentState(W=np.zeros(7), V_W=np.ones(7), V_Y=np.ones(7))
         ll = augmented_loglik(model, None, np.zeros(7), state)
-        from nglatent.gradients import _log_prior_v
+        from nglatent.distributions import _log_prior_v
 
-        assert _log_prior_v(model, state.V_W) == pytest.approx(
+        assert _log_prior_v(model.noise_w, state.V_W) == pytest.approx(
             7 * 0.5 * np.log(nu / (2 * np.pi))
         )
 
@@ -152,10 +152,10 @@ class TestAugmentedGrad:
         nu = 1.7
         model = make_model("gal", n=5, nu=nu, mu=0.0)
         state = LatentState(W=np.zeros(5), V_W=np.ones(5), V_Y=np.ones(5))
-        from nglatent.gradients import _nu_grad
+        from nglatent.distributions import _nu_grad
 
         expected = 5 * (np.log(nu) - special.psi(nu))
-        assert _nu_grad(model, state.V_W) == pytest.approx(expected, rel=1e-12)
+        assert _nu_grad(model.noise_w, state.V_W) == pytest.approx(expected, rel=1e-12)
 
 
 class TestTraceTerm:
@@ -384,7 +384,7 @@ class TestRbGradient:
             ref = dense_rb_gradient(model, Y, *v)
             assert np.allclose(g, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
 
-    @pytest.mark.parametrize("kind", ["nig-ar1", "tensor", "bivariate"])
+    @pytest.mark.parametrize("kind", ["nig-ar1", "gal-ar1", "gaussian-ar1", "tensor", "bivariate"])
     def test_stacked_draws_match_dense_oracle(self, kind):
         # k = 5 draws in one pass, with the conditionals of the sweep that
         # drew them, against the dense per-draw oracle averaged over draws
@@ -400,11 +400,19 @@ class TestRbGradient:
 
 
 def stacked_gradient_model(kind):
-    """NIG-AR1 (Q bandwidth 1, the closed-form covariance band); an
-    AR1 x Matern tensor with covariates (bandwidth above 1, the blocked
-    selected inverse); a bivariate model in a reordered band order."""
-    if kind == "nig-ar1":
-        return make_model("nig", n=40, mu=1.0)
+    """AR1 with NIG, GAL or Gaussian process noise (Q bandwidth 1, the
+    closed-form covariance band); an NIG AR1 x Matern tensor with
+    covariates (bandwidth above 1, the blocked selected inverse); an NIG
+    bivariate model in a reordered band order.
+
+    The GAL model takes nu = 1: at nu = 0.4 its mixing draws reach 1e-6
+    and the dense oracle's inv(Q) loses accuracy; there its mu row was
+    off by 7e-8 against a 40-digit reference that the banded path met to
+    5e-12."""
+    if kind == "gal-ar1":
+        return make_model("gal", n=40, mu=1.0, nu=1.0)
+    if kind.endswith("-ar1"):
+        return make_model(kind[: -len("-ar1")], n=40, mu=1.0)
     mesh = build_interval_mesh(np.linspace(0.0, 4.0, 9))
     if kind == "tensor":
         op = tensor_operator(ar1_operator(0.6, 4), matern_operator(1.2, mesh))

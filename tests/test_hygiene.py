@@ -1,6 +1,7 @@
 """Source hygiene of the package: every imported name is used, every
-private module-level name is read somewhere in the package, every name
-the benchmark's tracer wraps exists, and the fit still calls through the
+private module-level name is read somewhere in the package, only
+``distributions`` tells the NIG and GAL families apart, every name the
+benchmark's tracer wraps exists, and the fit still calls through the
 wrapped gradient."""
 
 import ast
@@ -126,6 +127,45 @@ def test_detects_an_unread_private_name():
         "a._left_over (line 5)",
         "a._spare (line 2)",
     ]
+
+
+def family_names(source: str) -> list:
+    """Where a module names the NIG or GAL family: the names ``NIG`` and
+    ``GAL`` (read, imported or as attributes) and the literals "nig" and
+    "gal"."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value.upper()] if node.value in ("nig", "gal") else []
+        else:
+            continue
+        out += [f"{name} (line {node.lineno})" for name in names if name in ("NIG", "GAL")]
+    return out
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE.glob("*.py") if p.name != "distributions.py"], ids=lambda p: p.name
+)
+def test_only_distributions_names_nig_or_gal(path):
+    # the noise-family decision sits behind distributions: other modules
+    # read a block's parameter names and GIG laws, never its family
+    assert family_names(path.read_text()) == []
+
+
+def test_detects_a_family_name():
+    source = (
+        '"""NIG noise in a docstring does not count."""\n'
+        "from .distributions import GAUSSIAN, NIG\n"
+        "def f(spec, d):\n"
+        "    return spec.family == 'gal' or d.GAL\n"
+    )
+    assert family_names(source) == ["NIG (line 2)", "GAL (line 4)", "GAL (line 4)"]
 
 
 def _load_perfbench(name):

@@ -119,6 +119,38 @@ class TestThetaRoundTrip:
         # original untouched
         assert model.op.params["phi"] == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("process", ["gaussian", "nig", "gal"])
+    @pytest.mark.parametrize("measurement", ["gaussian", "nig"])
+    def test_layout_block_by_block(self, process, measurement):
+        # beta, then the measurement block's sigma_eps alone (whatever its
+        # family), then the process block's own parameters, then the kernel
+        def noise(family, sigma, mu, nu):
+            kw = {} if family == "gaussian" else {"mu": mu, "nu": nu}
+            return NoiseSpec(family, sigma=sigma, **kw)
+
+        model = assemble_model(
+            A=sparse.identity(5, format="csr"),
+            X=np.ones((5, 1)),
+            op=ar1_operator(0.5, 5),
+            noise_w=noise(process, 1.3, -0.7, 0.6),
+            noise_y=noise(measurement, 0.4, 0.2, 2.0),
+            beta=np.array([0.25]),
+        )
+        block = ("sigma",) if process == "gaussian" else ("mu", "sigma", "nu")
+        tags = {"mu": "identity", "sigma": "log", "nu": "log"}
+        assert model.param_names == ("beta[0]", "sigma_eps", *block, "phi")
+        assert model.transform_tags == (
+            "identity", "log", *(tags[k] for k in block), "stationary-logit"
+        )
+        theta = model.theta_natural()
+        values = {"mu": -0.7, "sigma": 1.3, "nu": 0.6}
+        assert list(theta) == [0.25, 0.4, *(values[k] for k in block), 0.5]
+        again = model.with_theta(theta)
+        assert np.array_equal(again.theta_natural(), theta)
+        for old, new in ((model.noise_w, again.noise_w), (model.noise_y, again.noise_y)):
+            # a NIG measurement block keeps its mu and nu fixed
+            assert (new.family, new.mu, new.sigma, new.nu) == (old.family, old.mu, old.sigma, old.nu)
+
     def test_nu_prior_rate_uses_median_weight(self):
         model = nig_ar1_model(T=10)
         prior = model.priors.entries["nu"]
