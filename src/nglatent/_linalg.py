@@ -32,10 +32,18 @@ LAPACK/BLAS calls, O(n b^2) in all.  The quadratic forms of the
 Rao-Blackwellized gradient contract the same row pairs with that band,
 for the bands of all k draws of a gradient at once.
 
+The cross terms dK Sigma K' of the gradient take, per kernel parameter,
+only the row pairs of K whose dK entry can be nonzero: the plan keeps
+one sub-list per parameter, built once from the supports the operator
+records for its dKs.
+
 The log-determinant of the operator K and its gradient are not computed
 here: each operator supplies them from its own structure
 (``LatentOperator.logdet_grad``); the SPD Matern operator does so with
-``SpdFactor`` of K itself.
+``SpdFactor`` of K's band, laid out through a ``BandMap`` of its stored
+pattern built once with the operator.  ``SpdFactor`` also takes a sparse
+matrix, mapped to its band through a ``BandMap`` built on each call, for
+callers off the sampler's path.
 """
 
 from __future__ import annotations
@@ -50,22 +58,6 @@ from .errors import FactorizationError
 # fewest rows per block of the selected inverse: smaller blocks spend
 # their time in per-block Python overhead, larger ones in dense O(b^3) work
 MIN_BLOCK = 32
-
-
-def bandwidth_of(M) -> int:
-    coo = M.tocoo()
-    if coo.nnz == 0:
-        return 0
-    return int(np.max(np.abs(coo.row - coo.col)))
-
-
-def _to_upper_banded(Q, w: int) -> np.ndarray:
-    """Upper 'ab' storage: ab[w + i - j, j] = Q[i, j] for j-w <= i <= j."""
-    n = Q.shape[0]
-    ab = np.zeros((w + 1, n))
-    coo = sparse.triu(Q).tocoo()
-    ab[w + coo.row - coo.col, coo.col] = coo.data
-    return ab
 
 
 def _diagonals(M: np.ndarray, k: int) -> np.ndarray:
@@ -107,11 +99,18 @@ class RowPairs:
     """The products M1[r, i] M2[r, j] of stored entries sharing a row r,
     with the place of Sigma[i, j] in a band-order covariance band: ``d``
     the distance of i and j in band order, and ``flat`` the index of
-    S[d, min] in the flattened band S (shape (width + 1, n))."""
+    S[d, min] in the flattened band S (shape (width + 1, n)).
 
-    def __init__(self, M1, M2, position: np.ndarray):
+    ``first``, when given, lists the stored entries of M1 (places in
+    ``M1.data``) that can be nonzero; the pairs on any other entry of M1
+    have a zero product and are left out."""
+
+    def __init__(self, M1, M2, position: np.ndarray, first: np.ndarray | None = None):
         self.rows = M1.shape[0]
         self.row, self.a, self.b = _row_pairs(M1, M2)
+        if first is not None:
+            keep = np.isin(self.a, first)
+            self.row, self.a, self.b = self.row[keep], self.a[keep], self.b[keep]
         self.pi = position[M1.indices[self.a]]
         self.pj = position[M2.indices[self.b]]
         self.d = np.abs(self.pi - self.pj)
@@ -154,6 +153,29 @@ def _band_order(K, A) -> np.ndarray:
     return natural
 
 
+class BandMap:
+    """The slots in upper 'ab' storage of the upper triangle of a square
+    CSR pattern, ab[w + i - j, j] = M[i, j] for j - w <= i <= j, with w
+    (``bandwidth``) the largest distance of a stored entry from the
+    diagonal.  Built once from the pattern, it lays the data of any matrix
+    stored on that pattern into its band (``band``) with one scatter, so a
+    caller that keeps the map converts no sparse matrix per call."""
+
+    def __init__(self, M):
+        rows, cols = entry_rows(M), M.indices
+        self.bandwidth = int(np.max(np.abs(rows - cols), initial=0))
+        self.n = M.shape[1]
+        self._upper = np.flatnonzero(rows <= cols)
+        i, j = rows[self._upper], cols[self._upper]
+        self._slot = (self.bandwidth + i - j) * self.n + j
+
+    def band(self, data: np.ndarray) -> np.ndarray:
+        """The upper band of the matrix with ``data`` on the pattern."""
+        ab = np.zeros((self.bandwidth + 1) * self.n)
+        ab[self._slot] = data[self._upper]
+        return ab.reshape(self.bandwidth + 1, self.n)
+
+
 class StructurePlan:
     """Index maps from the stored patterns of K and of the observation map
     A (both CSR) to Q's band and to the covariance band, in a band order
@@ -166,14 +188,25 @@ class StructurePlan:
     order, which is also the largest distance in band order between two
     entries of one row of K, dK or A, as the gradient's quadratic forms
     need.
+
+    ``supports`` maps a kernel parameter to the stored entries of K's
+    pattern outside which its dK is zero at every parameter value (the
+    operator's ``dK_support``).  The plan keeps, per such parameter, the
+    sub-list of K's row pairs whose dK entry lies in that support
+    (``dk``), so each cross term dK Sigma K' sums only the pairs it can
+    touch; a parameter not in ``supports`` takes all of K's pairs
+    (``cross_pairs``).
     """
 
-    def __init__(self, K, A):
+    def __init__(self, K, A, supports: dict | None = None):
         self.n = K.shape[1]
         self.order = _band_order(K, A)
         position = _inverse(self.order)
         self.kk = RowPairs(K, K, position)
         self.aa = RowPairs(A, A, position)
+        self.dk = {
+            name: RowPairs(K, K, position, slots) for name, slots in (supports or {}).items()
+        }
         w = max(int(self.kk.d.max(initial=0)), int(self.aa.d.max(initial=0)))
         self.bandwidth = w
         # each pair with pi <= pj adds to Q[pi, pj], stored at ab[w + pi - pj, pj]
@@ -186,6 +219,11 @@ class StructurePlan:
         # the row of each stored entry of K and of A, and its column
         self._entry_rows = [entry_rows(M) for M in (K, A)]
         self._entry_cols = np.concatenate([K.indices, A.indices])
+
+    def cross_pairs(self, name: str) -> RowPairs:
+        """The row pairs of K that the cross term of parameter ``name``
+        sums: those on its dK's support, or all of K's."""
+        return self.dk.get(name, self.kk)
 
     def pair_products(self, K) -> np.ndarray:
         """The products K[r, i] K[r, j] that Q's upper band sums: they
@@ -238,7 +276,8 @@ class SpdFactor:
 
     def __init__(self, Q, order: np.ndarray | None = None):
         if sparse.issparse(Q):
-            Q = _to_upper_banded(Q, bandwidth_of(Q))
+            Q = sparse.csr_matrix(Q)
+            Q = BandMap(Q).band(Q.data)
         self.bandwidth = Q.shape[0] - 1
         self.n = Q.shape[1]
         self.order = np.arange(self.n) if order is None else order
@@ -393,7 +432,8 @@ class BandedSigma:
 
 def sigma_cross_quad_diag(sig: BandedSigma, P, K, pairs: RowPairs) -> np.ndarray:
     """Vector of P_i. Sigma K_i.' over rows i for a P stored on K's
-    pattern (a dK), from the row pairs of K; one row per band of a stacked
+    pattern (a dK), from the row pairs of K that P's entries can make
+    nonzero (``plan.cross_pairs``); one row per band of a stacked
     ``sig``."""
     return pairs.row_sums(P, K, sig)
 

@@ -603,19 +603,18 @@ def run_diagnose(config: RunConfig, fit_dir=None):
     chains).  It is not the fit's ``S_T`` in ``diagnostics.yaml``, which
     sums the products of every iteration's gradients over the last window.
     """
-    fit_dir = Path(fit_dir or config.output["dir"])
-    header, rows = read_table(fit_dir / "trace.csv")
-    chains = sorted({int(r[0]) for r in rows})
-    iters = sorted({int(r[1]) for r in rows})
+    path = Path(fit_dir or config.output["dir"]) / "trace.csv"
+    header, rows = read_table(path)
+    chain_of, iter_of = (_numeric_column(header, rows, name, path, int) for name in header[:2])
+    chains, iters = np.unique(chain_of), np.unique(iter_of)
     param_names = [h for h in header[3:] if not h.startswith("grad_")]
     p = len(param_names)
+    cells = [_numeric_column(header, rows, name, path) for name in header[3 : 3 + 2 * p]]
+    values = np.array(cells).reshape(2 * p, len(rows)).T
+    c, t = np.searchsorted(chains, chain_of), np.searchsorted(iters, iter_of)
     theta = np.empty((len(chains), len(iters), p))
     grads = np.empty((len(chains), len(iters), p))
-    for row in rows:
-        c = chains.index(int(row[0]))
-        t = iters.index(int(row[1]))
-        theta[c, t] = [float(v) for v in row[3 : 3 + p]]
-        grads[c, t] = [float(v) for v in row[3 + p : 3 + 2 * p]]
+    theta[c, t], grads[c, t] = values[:, :p], values[:, p:]
     window = min(int(config.inference["window"]), len(iters))
     summary = {"checkpoints": len(iters), "chains": len(chains)}
     rhat_values = rhat(theta, window).values if len(chains) >= 2 and window >= 2 else None

@@ -22,7 +22,10 @@ Carlo estimator ``mc_gradient``.  The Rao-Blackwellized estimator
 terms need, and the stacked covariance bands of W | V, Y (a partial
 inverse of the conditional precision) make each quadratic term gain its
 covariance term: tr(A Sigma A') for sigma_eps, diag(K Sigma K') for
-sigma, and diag(dK Sigma K') for each kernel parameter.  Both estimators
+sigma, and diag(dK Sigma K') for each kernel parameter.  The last sums
+only the row pairs of K whose dK entry lies in the support the operator
+records for that parameter (``plan.cross_pairs``, built once per model):
+the other products are zero whatever the parameter value.  Both estimators
 average the rows, map them to the unconstrained scale and subtract the
 prior gradient in one shared tail.
 """
@@ -156,7 +159,8 @@ def _grad_rows(mdl: Model, Y, W, v_w, sigma: Optional[BandedSigma] = None):
         dK = mdl.op.dK[name]
         quad = (dK @ W.T).T * ev
         if sigma is not None:
-            quad = quad + sigma_cross_quad_diag(sigma, dK, K, plan.kk) / v_w
+            pairs = plan.cross_pairs(name)
+            quad = quad + sigma_cross_quad_diag(sigma, dK, K, pairs) / v_w
         parts.append(traces[name] - np.sum(quad, axis=1) / sig**2)
     return np.column_stack(parts)
 

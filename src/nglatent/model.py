@@ -124,7 +124,7 @@ class Model:
     param_names: Tuple[str, ...]
     transform_tags: Tuple[str, ...]
     # built once by assemble_model: every parameter value keeps the stored
-    # patterns of K, dK and A
+    # patterns of K, dK and A, and each dK's support
     plan: StructurePlan = field(repr=False)
 
     @property
@@ -246,7 +246,7 @@ def assemble_model(
         priors=priors,
         param_names=names,
         transform_tags=tags,
-        plan=StructurePlan(op.K, A),
+        plan=StructurePlan(op.K, A, op.dK_support),
     )
 
 

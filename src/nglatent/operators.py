@@ -17,7 +17,20 @@ Each value map also supplies ``logdet_grad()`` = (log|det K|,
 {name: tr(K^-1 dK/dtheta)}) from the structure it builds (Magnus &
 Neudecker, Matrix Differential Calculus, ch. 8): triangular operators read
 their diagonal, the SPD Matern operator a banded Cholesky and selected
-inverse (Rue & Held 2005, section 2.4), compositions their parts.
+inverse (Rue & Held 2005, section 2.4), compositions their parts.  The
+Matern operator builds the map of its pattern into band storage
+(``BandMap``) once, so each call scatters K's data into the band and
+factors it, with no sparse conversion.
+
+A dK that is zero by structure on part of K's pattern records its
+support, fixed at construction (``dK_support``): the stored entries
+outside which it is zero at every parameter value (K_00 and the
+sub-diagonal of a bidiagonal operator, the mass diagonal of the Matern
+operator, the parts' supports mapped through a composition's index
+maps).  A parameter with no such structure (the bivariate zeta and rho,
+advection-diffusion) is not listed and may touch every entry.  The
+model's structure plan reads the supports, so each Rao-Blackwellized
+cross term sums only the row pairs its dK can touch.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from ._linalg import SpdFactor, entry_rows
+from ._linalg import BandMap, SpdFactor, entry_rows
 from .errors import FactorizationError, InputError, ParameterDomainError, ParameterLookupError
 from .mesh import Mesh1D, fem_matrices
 from .transforms import IDENTITY, LOG, STATIONARY_LOGIT
@@ -68,6 +81,10 @@ class LatentOperator:
     params: Dict[str, float]
     dK: Dict[str, sparse.csr_matrix]
     transforms: Dict[str, str]
+    # per parameter whose dK is zero by structure on part of K's pattern,
+    # the places in K.data outside which it is zero at every parameter
+    # value; a parameter not listed may touch every stored entry
+    dK_support: Dict[str, np.ndarray] = field(repr=False)
     _values: Callable[[Mapping[str, float]], _Values] = field(repr=False)
     _logdet_grad: Callable[[], Tuple[float, Dict[str, float]]] = field(repr=False)
 
@@ -93,7 +110,9 @@ class LatentOperator:
             )
         merged = dict(self.params)
         merged.update({k: float(v) for k, v in updates.items()})
-        return _operator(self.kind, self.K, self.h, self.transforms, self._values, merged)
+        return _operator(
+            self.kind, self.K, self.h, self.transforms, self._values, merged, self.dK_support
+        )
 
     def dtheta(self, name: str) -> sparse.csr_matrix:
         if name not in self.dK:
@@ -113,9 +132,10 @@ def operator_dtheta(op: LatentOperator, name: str) -> sparse.csr_matrix:
     return op.dtheta(name)
 
 
-def _operator(kind, pattern, h, transforms, values, params) -> LatentOperator:
+def _operator(kind, pattern, h, transforms, values, params, support) -> LatentOperator:
     """The operator at ``params``, its K and dK on the stored pattern of
-    ``pattern`` with the data the value map ``values`` gives."""
+    ``pattern`` with the data the value map ``values`` gives, and the
+    dK supports ``support`` in that pattern (``dK_support``)."""
     v = values(params)
     return LatentOperator(
         kind=kind,
@@ -124,6 +144,7 @@ def _operator(kind, pattern, h, transforms, values, params) -> LatentOperator:
         params=v.params,
         dK={name: _on(pattern, d) for name, d in v.ddata.items()},
         transforms=transforms,
+        dK_support=support,
         _values=values,
         _logdet_grad=v.logdet_grad,
     )
@@ -167,9 +188,11 @@ def _fill(nnz: int, *placed) -> np.ndarray:
 
 def _union(*matrices):
     """The union of the stored patterns of equal-shape CSR matrices without
-    duplicate entries, and each matrix's data laid onto it."""
+    duplicate entries, each matrix's data laid onto it, and the slots of
+    each matrix's stored entries in it."""
     pattern, places = _layout(matrices[0].shape, *[(M, [0], [0]) for M in matrices])
-    return pattern, [_fill(pattern.nnz, (p, M.data)) for p, M in zip(places, matrices)]
+    slots = [p[0] for p in places]
+    return pattern, [_fill(pattern.nnz, (p, M.data)) for p, M in zip(slots, matrices)], slots
 
 
 def _lu_logdet_grad(K, dK):
@@ -193,7 +216,7 @@ def _lu_logdet_grad(K, dK):
 def _bidiagonal(kind, h, name, transform, value, rows) -> LatentOperator:
     """A lower-bidiagonal operator with one parameter ``name``, K_ii = 1 for
     i > 0, and ``rows(theta)`` = (K_00, sub-diagonal, dK_00, dK's
-    sub-diagonal).
+    sub-diagonal); dK's support is K_00 and the sub-diagonal.
 
     K is triangular and dK shares its triangle, so K^-1 is triangular with
     diagonal 1 / K_ii: log|det K| and tr(K^-1 dK) read the diagonals."""
@@ -213,7 +236,8 @@ def _bidiagonal(kind, h, name, transform, value, rows) -> LatentOperator:
             lambda: (float(np.sum(np.log(np.abs(k_diag)))), {name: float(np.sum(d_diag / k_diag))}),
         )
 
-    return _operator(kind, pattern, h, {name: transform}, values, {name: value})
+    support = {name: np.concatenate([diag[0, :1], sub[0]])}
+    return _operator(kind, pattern, h, {name: transform}, values, {name: value}, support)
 
 
 def ar1_operator(phi: float, T: int) -> LatentOperator:
@@ -256,7 +280,9 @@ def rw_operator(order: int, mesh: Mesh1D) -> LatentOperator:
         raise InputError("a rectangular random walk has no determinant; pin it first")
 
     h = mesh.spacings[order - 1 :].copy()
-    return _operator(f"rw{order}", pattern, h, {}, lambda p: _Values({}, data, {}, rectangular), {})
+    return _operator(
+        f"rw{order}", pattern, h, {}, lambda p: _Values({}, data, {}, rectangular), {}, {}
+    )
 
 
 def pin_operator(op: LatentOperator, node: int = 0, weight: float = 1.0) -> LatentOperator:
@@ -283,7 +309,10 @@ def pin_operator(op: LatentOperator, node: int = 0, weight: float = 1.0) -> Late
         return _Values(v.params, data, ddata, lambda: logdet_grad)
 
     h = np.concatenate([op.h, [float(weight)]])
-    return _operator(f"pinned-{op.kind}", pattern, h, dict(op.transforms), values, dict(op.params))
+    support = {name: body[0, s] for name, s in op.dK_support.items()}
+    return _operator(
+        f"pinned-{op.kind}", pattern, h, dict(op.transforms), values, dict(op.params), support
+    )
 
 
 def ou_operator(theta: float, mesh: Mesh1D) -> LatentOperator:
@@ -306,9 +335,15 @@ def ou_operator(theta: float, mesh: Mesh1D) -> LatentOperator:
 
 
 def matern_operator(kappa: float, mesh: Mesh1D) -> LatentOperator:
-    """Whittle-Matern SPDE operator K = kappa^2 C + G on a 1D mesh."""
+    """Whittle-Matern SPDE operator K = kappa^2 C + G on a 1D mesh.
+
+    dK = 2 kappa C has the support of the lumped mass matrix C, its
+    diagonal.  K is SPD; its log-determinant and trace come from a banded
+    Cholesky of K, laid out through a ``BandMap`` of the stored pattern
+    built here once."""
     fm = fem_matrices(mesh)
-    pattern, (mass, stiff) = _union(fm.C_lumped, fm.G)
+    pattern, (mass, stiff), (mass_at, _) = _union(fm.C_lumped, fm.G)
+    bands = BandMap(pattern)
 
     def values(p):
         kappa = float(p["kappa"])
@@ -318,14 +353,15 @@ def matern_operator(kappa: float, mesh: Mesh1D) -> LatentOperator:
 
         def logdet_grad():
             # K is SPD and dK = 2 kappa C diagonal, so the trace needs only diag(K^-1)
-            factor = SpdFactor(_on(pattern, data))
+            factor = SpdFactor(bands.band(data))
             trace = (2.0 * kappa * fm.C_lumped.diagonal()) @ factor.sigma_band(0).diagonal()
             return factor.logdet(), {"kappa": float(trace)}
 
         return _Values({"kappa": kappa}, data, {"kappa": 2.0 * kappa * mass}, logdet_grad)
 
     h = mesh.weights.copy()
-    return _operator("matern", pattern, h, {"kappa": LOG}, values, {"kappa": kappa})
+    support = {"kappa": mass_at}
+    return _operator("matern", pattern, h, {"kappa": LOG}, values, {"kappa": kappa}, support)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +420,13 @@ def tensor_operator(outer: LatentOperator, inner: LatentOperator) -> LatentOpera
 
     transforms = joint(outer.transforms, inner.transforms)
     h = np.kron(outer.h, inner.h)
-    return _operator("tensor", pattern, h, transforms, values, joint(outer.params, inner.params))
+    # place[j, k] holds K_o.data[j] K_i.data[k]: a part's dK covers its own support
+    support = joint(
+        {k: place[s].ravel() for k, s in outer.dK_support.items()},
+        {k: place[:, s].ravel() for k, s in inner.dK_support.items()},
+    )
+    params = joint(outer.params, inner.params)
+    return _operator("tensor", pattern, h, transforms, values, params, support)
 
 
 def _dependence_matrix(zeta: float, rho: float):
@@ -453,7 +495,13 @@ def bivariate_operator(
     transforms = joint(op1.transforms, op2.transforms, IDENTITY, IDENTITY)
     h = np.concatenate([op1.h, op2.h])
     params = joint(op1.params, op2.params, zeta, rho)
-    return _operator("bivariate", pattern, h, transforms, values, params)
+    # a component's dK fills both blocks of its block column; dD, which
+    # fills every block, is not restricted
+    support = {
+        **_prefixed("k1", {k: left[:, s].ravel() for k, s in op1.dK_support.items()}),
+        **_prefixed("k2", {k: right[:, s].ravel() for k, s in op2.dK_support.items()}),
+    }
+    return _operator("bivariate", pattern, h, transforms, values, params, support)
 
 
 def replicate_operator(op: LatentOperator, R: int) -> LatentOperator:
@@ -478,7 +526,10 @@ def replicate_operator(op: LatentOperator, R: int) -> LatentOperator:
         return _Values(v.params, _fill(pattern.nnz, (place, v.data)), ddata, logdet_grad)
 
     h = np.tile(op.h, R)
-    return _operator("replicate", pattern, h, dict(op.transforms), values, dict(op.params))
+    support = {k: place[:, s].ravel() for k, s in op.dK_support.items()}
+    return _operator(
+        "replicate", pattern, h, dict(op.transforms), values, dict(op.params), support
+    )
 
 
 def advdiff_operator(
@@ -496,7 +547,7 @@ def advdiff_operator(
     # C, G and B do not depend on the parameters: they are laid once onto
     # the pattern of a diagonal block; the sub-diagonal blocks keep C's
     fm = fem_matrices(mesh, advection=1.0)
-    block, (mass, stiff, adv) = _union(fm.C_lumped, fm.G, fm.B)
+    block, (mass, stiff, adv), _ = _union(fm.C_lumped, fm.G, fm.B)
     lumped, starts = fm.C_lumped.data, np.arange(T) * mesh.n
     pattern, (diag, sub) = _layout(
         (T * mesh.n, T * mesh.n), (block, starts, starts), (fm.C_lumped, starts[1:], starts[:-1])
@@ -532,4 +583,6 @@ def advdiff_operator(
 
     transforms = {"kappa": LOG, "gamma": IDENTITY, "c": LOG}
     params = {"kappa": kappa, "gamma": gamma, "c": c}
-    return _operator("advdiff", pattern, np.tile(mesh.weights, T), transforms, values, params)
+    # no structure to exploit: each dK may touch every stored entry
+    h = np.tile(mesh.weights, T)
+    return _operator("advdiff", pattern, h, transforms, values, params, {})

@@ -456,6 +456,18 @@ class TestDiagnose:
         path = write_config(tmp_path, cfg.to_dict())
         assert main(["diagnose", "--config", str(path)]) == 0
 
+    @pytest.mark.parametrize(
+        "row",
+        [[0, 1, 0.05, "abc", 0.1], ["first", 1, 0.05, 0.7, 0.1], [0, "1.5", 0.05, 0.7, 0.1]],
+        ids=["parameter", "chain", "iteration"],
+    )
+    def test_malformed_trace_exit_code(self, tmp_path, row):
+        # a cell that is not a number of its column's kind is an input error
+        header = ["chain", "iteration", "step", "sigma_eps", "grad_sigma_eps"]
+        write_table(tmp_path / "out" / "trace.csv", header, [[1, 1, 0.05, 0.7, 0.1], row])
+        path = write_config(tmp_path, base_config(tmp_path))
+        assert main(["diagnose", "--config", str(path)]) == EXIT_CONFIG
+
 
 class TestMainEntry:
     def test_full_loop_via_main(self, tmp_path):

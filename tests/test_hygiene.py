@@ -258,3 +258,39 @@ def test_benchmark_tracer_sees_every_gig_draw():
     metrics = layers.metrics(tracer, 0.0, 0.0, 0.0, 0.0)
     assert metrics["distributions.gig_draws"] == n * sweeps
     assert metrics["distributions.gig_s"] > 0
+
+
+@pytest.mark.parametrize("kind", ["tensor", "bivariate"])
+def test_fit_converts_no_sparse_matrix_to_a_band(monkeypatch, kind):
+    # every band on a fit's path, of Q and of the Matern K in the kernel
+    # log-determinant, is laid out through index maps built with the model;
+    # a band map built later (SpdFactor of a sparse matrix) serves callers
+    # off that path only
+    import nglatent
+    from nglatent import _linalg
+    from nglatent.distributions import NoiseSpec
+    from nglatent.mesh import build_interval_mesh
+    from nglatent.model import assemble_model, simulate
+    from nglatent.operators import ar1_operator, bivariate_operator, matern_operator, tensor_operator
+
+    mesh = build_interval_mesh(np.linspace(0.0, 4.0, 12))
+    if kind == "tensor":
+        op = tensor_operator(ar1_operator(0.5, 4), matern_operator(1.2, mesh))
+    else:
+        op = bivariate_operator(matern_operator(0.8, mesh), matern_operator(1.6, mesh), 2.5, 0.5)
+    model = assemble_model(
+        A=sparse.identity(op.dim, format="csr"),
+        X=np.zeros((op.dim, 0)),
+        op=op,
+        noise_w=NoiseSpec("nig", sigma=1.0, mu=0.5, nu=1.0),
+        noise_y=NoiseSpec("gaussian", sigma=0.5),
+    )
+    Y, _ = simulate(model, rng=np.random.default_rng(1))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse-to-band conversion on the fit's path")
+
+    monkeypatch.setattr(_linalg, "BandMap", refuse)
+    options = nglatent.FitOptions(chains=2, max_iters=4, min_iters=4, k=2, sgld_samples=3)
+    fit = nglatent.map_fit(model, Y, options)
+    assert np.all(np.isfinite(fit.theta_map))

@@ -11,8 +11,6 @@ from nglatent._linalg import (
     MIN_BLOCK,
     SpdFactor,
     StructurePlan,
-    _to_upper_banded,
-    bandwidth_of,
     sigma_cross_quad_diag,
     sigma_obs_quad_trace,
     sigma_quad_diag,
@@ -42,6 +40,20 @@ def dense_band(Q, width):
     for d in range(min(width, n - 1) + 1):
         out[d, : n - d] = np.diagonal(sigma, d)
     return out
+
+
+def bandwidth_of(M) -> int:
+    """The largest distance of a stored entry from the diagonal."""
+    coo = M.tocoo()
+    return int(np.max(np.abs(coo.row - coo.col), initial=0))
+
+
+def upper_band(Q, w: int) -> np.ndarray:
+    """Upper 'ab' storage: ab[w + i - j, j] = Q[i, j] for j-w <= i <= j."""
+    ab = np.zeros((w + 1, Q.shape[0]))
+    coo = sparse.triu(Q).tocoo()
+    ab[w + coo.row - coo.col, coo.col] = coo.data
+    return ab
 
 
 def assert_band_matches(Q, width):
@@ -105,6 +117,19 @@ def test_tensor_bandwidth_above_block_floor():
     assert_band_matches(Q, 2 * factor.bandwidth)
 
 
+@pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+def test_sparse_input_factors_its_band(fmt):
+    # a sparse precision is laid into its band through a BandMap; the
+    # factor is that of the band the sparse conversion gives, bit for bit
+    mesh = build_interval_mesh(np.linspace(0.0, 6.0, 14))
+    K = tensor_operator(ar1_operator(0.7, 5), matern_operator(1.3, mesh)).K
+    Q = sparse.csr_matrix(K.T @ K + 0.5 * sparse.identity(K.shape[0]))
+    want = SpdFactor(upper_band(Q, bandwidth_of(Q)))
+    got = SpdFactor(Q.asformat(fmt))
+    assert got.bandwidth == want.bandwidth
+    assert np.array_equal(got._cb, want._cb)
+
+
 def test_not_positive_definite_raises():
     Q = tridiagonal(40)
     Q = sparse.csr_matrix(Q - 3.0 * sparse.identity(40))
@@ -113,7 +138,7 @@ def test_not_positive_definite_raises():
 
 
 def test_not_finite_raises():
-    ab = _to_upper_banded(tridiagonal(40), 1)
+    ab = upper_band(tridiagonal(40), 1)
     ab[0, 17] = np.nan
     with pytest.raises(FactorizationError):
         SpdFactor(ab)
@@ -185,7 +210,7 @@ def check_plan(plan, op, A, rng):
     Qp = Q[p][:, p]
     assert bandwidth_of(Qp) <= plan.bandwidth
     band = plan.band(plan.pair_products(K), dw, plan.obs_band_terms(A, dy))
-    assert_close(band, _to_upper_banded(Qp, plan.bandwidth), tol=1e-12)
+    assert_close(band, upper_band(Qp, plan.bandwidth), tol=1e-12)
     u, r = rng.standard_normal(K.shape[0]), rng.standard_normal(A.shape[0])
     assert_close(plan.rhs(K, u, plan.obs_rhs_terms(A, r)), K.T @ u + A.T @ r, tol=1e-12)
 

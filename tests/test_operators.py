@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from nglatent._linalg import SpdFactor
 from nglatent.distributions import NoiseSpec
 from nglatent.errors import InputError, ParameterDomainError, ParameterLookupError
 from nglatent.inference import FitOptions, map_fit
@@ -537,6 +538,84 @@ def test_matches_dense_oracle(kind):
         else:
             with pytest.raises(ParameterDomainError):
                 make(p)
+
+
+def random_point(names, rng):
+    """A parameter point inside each parameter's domain."""
+    draw = {
+        "phi": lambda: rng.uniform(-0.95, 0.95),
+        "zeta": lambda: rng.uniform(0.0, 2.0 * np.pi),
+        "rho": rng.standard_normal,
+        "gamma": rng.standard_normal,
+    }
+    return {n: float(draw.get(n.split(".")[-1], lambda: np.exp(rng.normal()))()) for n in names}
+
+
+@pytest.mark.parametrize("kind", list(CASES))
+def test_dK_zero_outside_its_support(kind):
+    # each dK's support is fixed at construction; at any parameter value,
+    # zeros by value included (phi = 0, zeta = rho = 0), no entry outside
+    # it is nonzero
+    # (a parameter not listed may touch every entry)
+    make, _, points = CASES[kind]
+    op = make(points[0])
+    unrestricted = {"bivariate": {"zeta", "rho"}, "advdiff": {"kappa", "gamma", "c"}}
+    assert op.dK_support.keys() == op.params.keys() - unrestricted.get(kind, set())
+    rng = np.random.default_rng(12)
+    for p in points + [random_point(op.params, rng) for _ in range(5)]:
+        updated = op.with_params(p)
+        for name, support in updated.dK_support.items():
+            dK = updated.dK[name]
+            assert np.unique(support).size == support.size
+            assert np.all((0 <= support) & (support < dK.nnz))
+            outside = np.ones(dK.nnz, dtype=bool)
+            outside[support] = False
+            assert np.all(dK.data[outside] == 0.0), (name, p)
+
+
+def upper_band(K):
+    """K's upper band in 'ab' storage, ab[w + i - j, j] = K[i, j], copied
+    diagonal by diagonal from the dense K, w the widest stored entry."""
+    coo = K.tocoo()
+    w = int(np.max(np.abs(coo.row - coo.col)))
+    dense = K.toarray()
+    ab = np.zeros((w + 1, K.shape[1]))
+    for d in range(w + 1):
+        ab[w - d, d:] = np.diagonal(dense, d)
+    return ab
+
+
+def matern_reference(op):
+    """log|det K| and tr(K^-1 dK) of a Matern operator from a banded
+    Cholesky of K's band, copied from the dense K."""
+    factor = SpdFactor(upper_band(op.K))
+    trace = op.dK["kappa"].diagonal() @ factor.sigma_band(0).diagonal()
+    return factor.logdet(), {"kappa": float(trace)}
+
+
+@pytest.mark.parametrize("d", [2, 3, 300])
+@pytest.mark.parametrize("spacing", ["regular", "irregular"])
+def test_matern_logdet_from_band_map_is_exact(d, spacing):
+    # the band map lays K's data into K's band, so the operator and every
+    # composition of it take the values of factoring that band, copied
+    # here from the dense K, bit for bit
+    rng = np.random.default_rng(d)
+    gaps = np.ones(d - 1) if spacing == "regular" else rng.uniform(0.05, 1.0, d - 1)
+    mesh = build_interval_mesh(np.concatenate([[0.0], np.cumsum(gaps)]))
+    for kappa in (0.02, 0.7, 3.0):
+        op = matern_operator(kappa, mesh)
+        other = matern_operator(1.5 * kappa, mesh)
+        (ld, tr), (ld2, tr2) = matern_reference(op), matern_reference(other)
+        assert op.logdet_grad() == (ld, tr)
+        ld_t, tr_t = tensor_operator(ar1_operator(0.4, 3), op).logdet_grad()
+        ld_o, tr_o = ar1_operator(0.4, 3).logdet_grad()
+        assert ld_t == d * ld_o + 3 * ld
+        assert tr_t["inner.kappa"] == 3 * tr["kappa"]
+        rho = 0.8
+        ld_b, tr_b = bivariate_operator(op, other, 1.0, rho).logdet_grad()
+        assert ld_b == d * 0.5 * np.log1p(rho**2) + ld + ld2
+        assert (tr_b["k1.kappa"], tr_b["k2.kappa"]) == (tr["kappa"], tr2["kappa"])
+        assert replicate_operator(op, 2).logdet_grad() == (2 * ld, {"kappa": 2 * tr["kappa"]})
 
 
 @pytest.mark.parametrize("kind", list(CASES))
