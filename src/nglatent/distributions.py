@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import special
 
 from .errors import NumericalError, ParameterDomainError, UnsupportedFamilyError
 
@@ -78,6 +77,8 @@ _KV_TERMS = 8
 
 def _kve(p, x):
     """K_p(x) e^x for a scalar order p and x > 0."""
+    from scipy import special  # slow to load, so imported where it is used
+
     x = np.asarray(x, dtype=float)
     large = x >= _KV_LARGE
     if not np.any(large):
@@ -103,6 +104,8 @@ def _gig_log_norm(p: float, a: float, b: float):
     if a > 0 and b > 0:
         omega = np.sqrt(a * b)
         return 0.5 * p * (np.log(a) - np.log(b)) - np.log(2.0) - _log_kv(p, omega)
+    from scipy import special
+
     if b == 0:
         return p * np.log(a / 2.0) - special.gammaln(p)
     return -p * np.log(b / 2.0) - special.gammaln(-p)
@@ -493,16 +496,28 @@ def _log_prior_v(spec: NoiseSpec, v) -> float:
         terms = 0.5 * np.log(nu * h**2 / (2.0 * np.pi * v**3)) - 0.5 * nu * (v**2 + h**2) / v
         terms = terms + nu * h
     else:
+        from scipy import special
+
         terms = -v * nu + h * nu * np.log(v * nu) - np.log(v) - special.gammaln(h * nu)
     return float(np.sum(terms))
 
 
-def _nu_grad(spec: NoiseSpec, v):
-    """d/dnu of log pi(V): a float, or one value per row of a (k, n) ``v``."""
-    h, nu = spec.h, spec.nu
+def _nu_grad(spec: NoiseSpec, v, nu=None):
+    """d/dnu of log pi(V): a float, or one value per row of a stacked
+    ``v`` (rows along its last axis).  ``nu``, when given, stands for
+    ``spec.nu``: one value per chain, shaped to broadcast against v."""
+    h = spec.h
+    nu = spec.nu if nu is None else nu
     if spec.family == NIG:
-        terms = -(h**2) / (2.0 * v) - 0.5 * v + 0.5 / nu + h
+        # -(h^2)/(2v) - v/2 + 1/(2 nu) + h, in place over one temporary
+        terms = 2.0 * v
+        np.divide(-(h**2), terms, out=terms)
+        terms -= 0.5 * v
+        terms += 0.5 / nu
+        terms += h
     else:
+        from scipy import special
+
         terms = h - v + h * np.log(v) + h * np.log(nu) - h * special.psi(h * nu)
     return np.sum(terms, axis=-1)
 

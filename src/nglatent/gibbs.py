@@ -19,15 +19,20 @@ Callers without a chain build the per-theta stage on the spot, so there
 is one conditional path; ``sample_w`` and ``conditional_w_params``
 leave the A terms to the draw and use the V_Y they are given.
 
-Several chains can sweep in lockstep (``lockstep_sweep``): each chain
-draws W from its own conditional with its own rng, then a shared
-mixing stream draws the mixing variables of all chains.  Both blocks
-take one path (``_draw_v``), process block first: the non-Gaussian
-blocks of one kind, over all chains, share one ``gig_sample_many``
-call, and a Gaussian block keeps V = h.  The sampler acts elementwise,
-so each chain's draws keep their law.  A single ``GibbsChain`` is the
-one-chain case, with its own rng as the mixing stream; its draws come
-in the order W, V_W, V_Y.
+Several chains can sweep in lockstep (``lockstep_sweep``).  Their
+W | V, Y conditionals form one block-diagonal system (``_w_conditional``
+over the chains' joined per-theta constants, ``_Joint``): one ``bincount``
+assembles all chains' bands, one banded Cholesky factors them, each
+chain's mean is solved with its own block of the factor, and one
+whitening gives every chain's W, each chain drawing its standard
+normals from its own rng.  Then a shared mixing stream draws the mixing
+variables of all chains.  Both blocks take one path (``_draw_v``),
+process block first: the non-Gaussian blocks of one kind, over all
+chains, share one ``gig_sample_many`` call, and a Gaussian block keeps
+V = h.  The sampler acts elementwise, so each chain's draws keep their
+law, and each chain's conditional, factor and W equal those it gets
+alone.  A single ``GibbsChain`` is the one-chain case, with its own rng
+as the mixing stream; its draws come in the order W, V_W, V_Y.
 """
 
 from __future__ import annotations
@@ -91,6 +96,7 @@ class _ThetaStage:
         self.gig = tuple(None if nz.family == GAUSSIAN else _gig_block(nz) for nz in self.noises)
         fixed = self.gig[1] is None and fix_v_y
         self.obs = _obs_parts(model, self.y0, np.ones(model.m)) if fixed else None
+        self._joint = None
 
     def residual(self, block: int, w):
         """The residuals at W of mixing block 0, the process (K W), or of
@@ -98,22 +104,69 @@ class _ThetaStage:
         mdl = self.model
         return mdl.op.K @ w if block == 0 else self.y0 - mdl.A @ w
 
+    @property
+    def joint(self) -> "_Joint":
+        """This chain's conditional constants as a one-chain ``_Joint``."""
+        if self._joint is None:
+            self._joint = _Joint([self])
+        return self._joint
 
-def _w_conditional(stage: _ThetaStage, v_w, v_y):
-    """Mean and banded factor of W | V, Y (Proposition-style forms), from
-    the per-theta ``stage``; only the terms in V are formed here.
 
-    Q's band comes from the model's structure plan; no sparse matrix is
-    built per call."""
-    if np.any(v_w <= 0) or np.any(v_y <= 0):
+class _Joint:
+    """The per-theta constants of the W | V, Y conditionals of C chains at
+    one structure, one row per chain: sigma^2 and mu of the process noise,
+    K's values and pair products, and the fixed A terms (``obs``, None
+    unless every chain fixes them).  Built once per set of stages and read
+    by every draw at them.  It keeps no reference to the stages, which
+    cache it (``_ThetaStage.joint``)."""
+
+    def __init__(self, stages):
+        self.chains = len(stages)
+        # each chain's model and Y - X beta, for A's terms at a drawn V_Y
+        self.obs_inputs = [(s.model, s.y0) for s in stages]
+        mdl = stages[0].model
+        self.plan, self.h = mdl.plan, mdl.noise_w.h
+        noises = [s.model.noise_w for s in stages]
+        self.sig2 = np.array([[nw.sigma**2] for nw in noises])
+        self.mu = np.array([[nw.mu] for nw in noises])
+        self.products = np.array([s.products for s in stages])
+        self.k_data = np.array([s.model.op.K.data for s in stages])
+        fixed = all(s.obs is not None for s in stages)
+        self.obs = tuple(np.array(x) for x in zip(*(s.obs for s in stages))) if fixed else None
+        self.order = self.plan.stacked(len(stages)).order
+
+
+def _joint(stages) -> _Joint:
+    return stages[0].joint if len(stages) == 1 else _Joint(stages)
+
+
+def _w_conditional(joint: _Joint, v_w, v_y):
+    """Means, shape (C, n), and one banded factor of W | V, Y for C chains
+    at one structure, from their joined per-theta constants and their V_W
+    and V_Y (one row each); only the terms in V are formed here.
+
+    The chains' precisions never couple, so they form one block-diagonal
+    system: Q's band is one ``bincount`` over the chains' terms laid out
+    block by block (``StructurePlan.stacked``), factored by one banded
+    Cholesky.  Chain c's factor is ``factor.block(c)``, a view, which
+    solves for its mean.  No sparse matrix is built per call."""
+    v_w, v_y = np.asarray(v_w, dtype=float), np.asarray(v_y, dtype=float)
+    if (v_w <= 0).any() or (v_y <= 0).any():
         raise InputError("mixing variables must be strictly positive")
-    mdl = stage.model
-    plan, nw = mdl.plan, mdl.noise_w
-    dw = nw.sigma**2 * v_w
-    u = nw.mu * (v_w - nw.h) / dw
-    band_terms, rhs_terms = stage.obs or _obs_parts(mdl, stage.y0, v_y)
-    factor = SpdFactor(plan.band(stage.products, dw, band_terms), plan.order)
-    return factor.solve(plan.rhs(mdl.op.K, u, rhs_terms)), factor
+    plan, chains = joint.plan, joint.chains
+    dw = joint.sig2 * v_w
+    u = joint.mu * (v_w - joint.h) / dw
+    obs = joint.obs
+    if obs is None:
+        parts = [_obs_parts(mdl, y0, b) for (mdl, y0), b in zip(joint.obs_inputs, v_y)]
+        obs = tuple(np.array(x) for x in zip(*parts))
+    factor = SpdFactor(plan.band(joint.products, dw, obs[0]), joint.order, blocks=chains)
+    mean = plan.rhs(joint.k_data, u, obs[1]).reshape(chains, -1)
+    # block by block: a transposed triangular solve across blocks would sum
+    # a row's products in other groupings and move the means' last bits
+    for c in range(chains):
+        mean[c] = factor.block(c).solve(mean[c])
+    return mean, factor
 
 
 def _obs_parts(mdl: Model, y0, v_y):
@@ -128,23 +181,28 @@ def conditional_w_params(model: Model, theta, V, Y):
     """Mean vector and sparse precision (natural order) of W | V, Y."""
     mdl = _prepared(model, theta)
     v_w, v_y = (np.asarray(v, float) for v in V)
-    mu, _ = _w_conditional(_ThetaStage(mdl, Y, fix_v_y=False), v_w, v_y)
+    mean, _ = _w_conditional(_ThetaStage(mdl, Y, fix_v_y=False).joint, [v_w], [v_y])
     K, A = mdl.op.K, mdl.A
     Q = K.T.multiply(1.0 / (mdl.noise_w.sigma**2 * v_w)) @ K
     Q = Q + A.T.multiply(1.0 / (mdl.noise_y.sigma**2 * v_y)) @ A
-    return mu, sparse.csr_matrix(Q)
+    return mean[0], sparse.csr_matrix(Q)
 
 
-def _draw_w(rng, cond):
-    mu, factor = cond
-    return mu + factor.whiten(rng.standard_normal(mu.size))
+def _draw_w(rngs, cond):
+    """One W per chain from the chains' conditional ``cond``, chain c
+    drawing its standard normals from rngs[c]."""
+    mean, factor = cond
+    z = np.empty(mean.shape)
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    return mean + factor.whiten(z.ravel()).reshape(mean.shape)
 
 
 def sample_w(rng, model: Model, theta, V, Y):
     """Exact draw from N(mu_W, Sigma_W) via the factorized precision."""
     stage = _ThetaStage(_prepared(model, theta), Y, fix_v_y=False)
     v_w, v_y = V
-    return _draw_w(rng, _w_conditional(stage, np.asarray(v_w, float), np.asarray(v_y, float)))
+    return _draw_w([rng], _w_conditional(stage.joint, [v_w], [v_y]))[0]
 
 
 def _gig_block(noise):
@@ -224,6 +282,7 @@ class GibbsChain:
         self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         self.v_w, self.v_y = (nz.h.copy() for nz in self._stage.noises)
         self.w = None
+        # (the chains' conditional at the current V, this chain's block)
         self._cond = None
 
     @property
@@ -247,27 +306,46 @@ class GibbsChain:
         return states
 
 
+def _held_conditional(chains):
+    """The conditional the chains hold at their current V, when each
+    chain i holds block i of one shared conditional; else None."""
+    held = chains[0]._cond
+    if held is None or held[0][1].blocks != len(chains):
+        return None
+    for i, c in enumerate(chains):
+        if c._cond is None or c._cond[0] is not held[0] or c._cond[1] != i:
+            return None
+    return held[0]
+
+
 def lockstep_sweep(chains: Sequence[GibbsChain], k: int, rng):
     """Advance several chains k sweeps together.
 
-    In each sweep every chain draws W from its own conditional with its
-    own rng; then ``rng`` draws the mixing variables of all chains, one
-    GIG call per block kind (process, measurement) that any chain has
-    non-Gaussian.  Returns, per chain, its k visited states and the
-    W | V, Y conditionals at them.
+    The chains' W | V, Y conditionals form one block-diagonal system
+    (``_w_conditional``): one banded factorization per sweep serves every
+    chain, each chain's block of it solves for its mean, and one whitening
+    gives all their W draws, each chain drawing its standard normals from
+    its own rng.  Then
+    ``rng`` draws the mixing variables of all chains, one GIG call per
+    block kind (process, measurement) that any chain has non-Gaussian.
+    Returns, per chain, its k visited states and the W | V, Y
+    conditionals at them: its mean and its block of the factor.
     """
+    stages = [c._stage for c in chains]
+    joint = _joint(stages)
+    cond = _held_conditional(chains)
+    if cond is None:
+        cond = _w_conditional(joint, [c.v_w for c in chains], [c.v_y for c in chains])
     runs = [([], []) for _ in chains]
     for _ in range(k):
-        for c in chains:
-            if c._cond is None:
-                c._cond = _w_conditional(c._stage, c.v_w, c.v_y)
-            c.w = _draw_w(c.rng, c._cond)
-        v_w, v_y = _draw_v(rng, [c._stage for c in chains], [c.w for c in chains])
-        for c, c_vw, c_vy, (states, conds) in zip(chains, v_w, v_y, runs):
-            c.v_w, c.v_y = c_vw, c_vy
-            c._cond = _w_conditional(c._stage, c_vw, c_vy)
-            states.append(LatentState(W=c.w, V_W=c_vw.copy(), V_Y=c_vy.copy()))
-            conds.append(c._cond)
+        ws = _draw_w([c.rng for c in chains], cond)
+        v_w, v_y = _draw_v(rng, stages, ws)
+        cond = _w_conditional(joint, v_w, v_y)
+        mean, factor = cond
+        for i, (c, (states, conds)) in enumerate(zip(chains, runs)):
+            c.w, c.v_w, c.v_y, c._cond = ws[i], v_w[i], v_y[i], (cond, i)
+            states.append(LatentState(W=ws[i], V_W=v_w[i].copy(), V_Y=v_y[i].copy()))
+            conds.append((mean[i], factor.block(i)))
     return runs
 
 

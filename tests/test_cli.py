@@ -270,6 +270,27 @@ class TestFit:
         assert not (tmp_path / "out" / "estimates.csv").exists()
 
 
+class TestWriteTable:
+    def test_float_array_bytes_equal_the_csv_writer(self, tmp_path):
+        # a float array takes the joined-line path; the bytes equal those of
+        # csv.writer over repr-formatted values, row by row
+        import csv
+
+        rows = np.array(
+            [[np.nan, np.inf, -np.inf], [-0.0, 5e-324, 1e308], [0.1, -2.5, 1.0 / 3.0]]
+        )
+        header = ["a,b", 'say "x"', "plain"]
+        got = write_table(tmp_path / "fast.csv", header, rows)
+        want = tmp_path / "csv.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([repr(float(v)) for v in row])
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes() == write_table(tmp_path / "rows.csv", header, rows.tolist()).read_bytes()
+
+
 class TestPredict:
     def test_quantile_columns_and_determinism(self, tmp_path):
         cfg = RunConfig.from_dict(base_config(tmp_path, n=30))

@@ -461,11 +461,11 @@ class TestThetaStage:
         chain.set_theta(theta)
         fresh = gibbs._ThetaStage(model.with_theta(theta), Y)
         # the next W is drawn from the conditional at the current V
-        mu, factor = gibbs._w_conditional(fresh, chain.v_w, chain.v_y)
-        w = mu + factor.whiten(copy.deepcopy(chain.rng).standard_normal(model.n))
+        mu, factor = gibbs._w_conditional(fresh.joint, [chain.v_w], [chain.v_y])
+        w = mu[0] + factor.whiten(copy.deepcopy(chain.rng).standard_normal(model.n))
         states, conds = chain.sweep(2, with_conditionals=True)
         assert np.array_equal(states[0].W, w)
         for state, (mu, factor) in zip(states, conds):
-            ref_mu, ref_factor = gibbs._w_conditional(fresh, state.V_W, state.V_Y)
-            assert np.array_equal(mu, ref_mu)
+            ref_mu, ref_factor = gibbs._w_conditional(fresh.joint, [state.V_W], [state.V_Y])
+            assert np.array_equal(mu, ref_mu[0])
             assert np.array_equal(factor._cb, ref_factor._cb)

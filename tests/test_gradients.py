@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,17 @@ from scipy import sparse, special, stats
 from nglatent._linalg import StructurePlan
 
 from nglatent.distributions import NoiseSpec, gig_logpdf, GigParams
-from nglatent.errors import InputError, ParameterDomainError, UnsupportedFamilyError
-from nglatent.gibbs import GibbsChain, gibbs_run, sample_w
+from nglatent.errors import (
+    FactorizationError,
+    InputError,
+    OptimizationError,
+    ParameterDomainError,
+    UnsupportedFamilyError,
+)
+import nglatent.gibbs as gibbs
+import nglatent.gradients as gradients
+from nglatent.gibbs import GibbsChain, gibbs_run, lockstep_sweep, sample_w
+from nglatent.inference import FitOptions, map_fit
 from nglatent.gradients import (
     augmented_grad,
     augmented_loglik,
@@ -487,3 +497,96 @@ def dense_rb_gradient(model, Y, v_w, v_y):
     g = g + extra * jacobian_natural(model.theta_natural(), model.transform_tags)
     _, pg = prior_grad(model.priors, model.theta_unconstrained(), names)
     return -g - pg
+
+
+def jittered_chains(model, Y, count, seed):
+    """``count`` Gibbs chains of one model at parameters within 10% of its
+    own, each with its own rng."""
+    rng = np.random.default_rng(seed)
+    return [
+        GibbsChain(model, Y, np.random.default_rng(seed + 1 + c),
+                   theta=model.theta_natural() * rng.uniform(0.9, 1.1, model.n_params))
+        for c in range(count)
+    ]
+
+
+class TestStackedChains:
+    """C chains share one block-diagonal W | V, Y system per sweep and one
+    gradient pass; each chain must get what it gets alone."""
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["nig-ar1", "tensor", "bivariate"])
+    def test_sweep_matches_one_chain_at_a_time(self, kind, count):
+        # the reference factors each chain's conditional alone and draws its
+        # W from a copy of the chain's rng; the mixing draws then take a copy
+        # of the shared stream
+        model = stacked_gradient_model(kind)
+        Y, _ = simulate(model, rng=np.random.default_rng(1))
+        chains = jittered_chains(model, Y, count, 2)
+        mix = np.random.default_rng(9)
+        rngs, mix_ref = [copy.deepcopy(c.rng) for c in chains], copy.deepcopy(mix)
+        v = [(c.v_w, c.v_y) for c in chains]
+        stages = [c._stage for c in chains]
+        runs = lockstep_sweep(chains, 3, mix)
+        for t in range(3):
+            conds = [gibbs._w_conditional(s.joint, [a], [b]) for s, (a, b) in zip(stages, v)]
+            ws = [mu[0] + f.whiten(r.standard_normal(model.n)) for (mu, f), r in zip(conds, rngs)]
+            v_w, v_y = gibbs._draw_v(mix_ref, stages, ws)
+            v = list(zip(v_w, v_y))
+            for c, (states, got) in enumerate(runs):
+                assert np.array_equal(states[t].W, ws[c])
+                assert np.array_equal(states[t].V_W, v_w[c])
+                assert np.array_equal(states[t].V_Y, v_y[c])
+                mean, factor = gibbs._w_conditional(stages[c].joint, [v_w[c]], [v_y[c]])
+                assert np.array_equal(got[t][0], mean[0])
+                assert np.array_equal(got[t][1]._cb, factor._cb)
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["nig-ar1", "tensor", "bivariate"])
+    def test_gradient_matches_one_chain_at_a_time(self, kind, count):
+        # one pass over all chains' draws gives each chain's rows: bit for
+        # bit on AR1 (bandwidth 1), to 1e-12 otherwise, and each against the
+        # dense oracle
+        model = stacked_gradient_model(kind)
+        Y, _ = simulate(model, rng=np.random.default_rng(3))
+        chains = jittered_chains(model, Y, count, 4)
+        runs = lockstep_sweep(chains, 3, np.random.default_rng(5))
+        models = [c.model for c in chains]
+        states = [s for s, _ in runs]
+        g = gradients._rb_gradients(models, Y, states, conds=[c for _, c in runs]).g
+        g_mc = gradients._mc_gradients(models, Y, states).g
+        assert g.shape == g_mc.shape == (count, model.n_params)
+        for c, (mdl, (draws, conds)) in enumerate(zip(models, runs)):
+            ref = rb_gradient(mdl, None, Y, draws, _conds=conds).g
+            scale = np.max(np.abs(ref))
+            if kind == "nig-ar1":
+                assert np.array_equal(g[c], ref)
+            else:
+                assert np.allclose(g[c], ref, rtol=1e-12, atol=1e-12 * scale)
+            assert np.array_equal(g_mc[c], mc_gradient(mdl, None, Y, draws).g)
+            dense = np.mean([dense_rb_gradient(mdl, Y, s.V_W, s.V_Y) for s in draws], axis=0)
+            assert np.allclose(g[c], dense, rtol=1e-10, atol=1e-10 * np.max(np.abs(dense)))
+
+    def test_a_chain_without_a_factor_stops_the_fit(self, monkeypatch):
+        # a NaN mixing draw of chain 1 leaves its precision without a
+        # Cholesky factor: the joint factorization names the chain's block,
+        # and map_fit reports a divergent trajectory
+        model = stacked_gradient_model("nig-ar1")
+        Y, _ = simulate(model, rng=np.random.default_rng(6))
+        stages = [gibbs._ThetaStage(model, Y) for _ in range(3)]
+        v_w = np.ones((3, model.n))
+        v_w[1, 5] = np.nan
+        with pytest.raises(FactorizationError, match="block 1"):
+            gibbs._w_conditional(gibbs._joint(stages), v_w, np.ones((3, model.m)))
+
+        draw = gibbs.gig_sample_many
+
+        def poisoned(rng, p, a, b):
+            v = draw(rng, p, a, b)
+            v[model.n + 5] = np.nan
+            return v
+
+        monkeypatch.setattr(gibbs, "gig_sample_many", poisoned)
+        with pytest.raises(OptimizationError, match="block 1") as ei:
+            map_fit(model, Y, FitOptions(chains=3, max_iters=2, min_iters=2, k=2))
+        assert isinstance(ei.value.__cause__, FactorizationError)

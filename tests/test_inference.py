@@ -584,21 +584,22 @@ class TestSharedSweepErrors:
 
     @pytest.mark.parametrize("chain", [1, 2])
     def test_sgld_failure_in_one_chain_reports_its_last_draw(self, monkeypatch, chain):
-        # one gradient per chain and iteration: 4 MAP iterations of 3 chains
-        # make calls 1-12, and chain c's gradient at SGLD step t is call
-        # 12 + 3 (t - 1) + c + 1; each chain keeps 3 of the 9 draws
+        # the sweep and the gradient pass serve all chains at once; each
+        # chain's step is then pushed into its own model: 4 MAP iterations
+        # of 3 chains make pushes 1-12, and chain c's push at SGLD step t is
+        # push 12 + 3 (t - 1) + c + 1; each chain keeps 3 of the 9 draws
         import nglatent.inference as inference
 
         posterior = map_fit(self.model, self.Y, self.opts).posterior
-        gradient, calls = inference.rb_gradient, []
+        commit, calls = inference._commit, []
 
         def failing(*args, **kwargs):
             calls.append(1)
             if len(calls) == 12 + 3 * 2 + chain + 1:
                 raise NumericalError("injected")
-            return gradient(*args, **kwargs)
+            return commit(*args, **kwargs)
 
-        monkeypatch.setattr(inference, "rb_gradient", failing)
+        monkeypatch.setattr(inference, "_commit", failing)
         with pytest.raises(SamplingError, match="step 3") as ei:
             map_fit(self.model, self.Y, self.opts)
         np.testing.assert_array_equal(ei.value.last_state, posterior[3 * chain + 1])
@@ -657,8 +658,8 @@ class TestSgld:
         monkeypatch.setattr(
             inf,
             "rb_gradient",
-            lambda model, theta, Y, states, _conds=None: SimpleNamespace(
-                g=np.zeros(model.n_params)
+            lambda models, Y, states, conds=None: SimpleNamespace(
+                g=np.zeros((len(models), models[0].n_params))
             ),
         )
         model = conjugate_toy()

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from nglatent import _linalg
 from nglatent._linalg import (
     MIN_BLOCK,
+    BandedSigma,
     SpdFactor,
     StructurePlan,
+    _row_pairs,
+    sigma_bands,
     sigma_cross_quad_diag,
     sigma_obs_quad_trace,
     sigma_quad_diag,
@@ -106,6 +110,31 @@ def test_bidiagonal_closed_form_ill_conditioned():
     for d in range(4):
         want = np.diagonal(sigma, d)
         assert np.max(np.abs(S[d, : n - d] - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("scan_length", [None, 80])
+@pytest.mark.parametrize("bandwidth", [0, 1, 3])
+@pytest.mark.parametrize("width", [0, 2])
+def test_sigma_bands_match_each_factor(bandwidth, width, scan_length, monkeypatch):
+    # the bands of several factors in one pass equal each factor's own, bit
+    # for bit; the unused corner ab[0, 0] of a factor's band storage holds
+    # a stray value here, which must not couple one factor to the next.  A
+    # scan of 80 rows takes the three factors of 40 rows in two passes
+    if scan_length is not None:
+        monkeypatch.setattr(_linalg, "SCAN_LENGTH", scan_length)
+    rng = np.random.default_rng(bandwidth)
+    factors = []
+    for _ in range(3):
+        M = sparse.diags(
+            [rng.uniform(1.0, 2.0, 40)] + [rng.uniform(-0.5, 0.5, 40 - k) for k in range(1, bandwidth + 1)],
+            list(range(bandwidth + 1)),
+        )
+        ab = upper_band(sparse.csr_matrix(M.T @ M), bandwidth)
+        ab[0, 0] = 7.0
+        factors.append(SpdFactor(ab))
+    got = sigma_bands(factors, width)
+    for S, factor in zip(got, factors):
+        assert np.array_equal(S, factor.sigma_band(width).S)
 
 
 def test_tensor_bandwidth_above_block_floor():
@@ -209,10 +238,10 @@ def check_plan(plan, op, A, rng):
     assert np.array_equal(np.sort(p), np.arange(n))
     Qp = Q[p][:, p]
     assert bandwidth_of(Qp) <= plan.bandwidth
-    band = plan.band(plan.pair_products(K), dw, plan.obs_band_terms(A, dy))
+    band = plan.band(plan.pair_products(K)[None], dw[None], plan.obs_band_terms(A, dy)[None])
     assert_close(band, upper_band(Qp, plan.bandwidth), tol=1e-12)
     u, r = rng.standard_normal(K.shape[0]), rng.standard_normal(A.shape[0])
-    assert_close(plan.rhs(K, u, plan.obs_rhs_terms(A, r)), K.T @ u + A.T @ r, tol=1e-12)
+    assert_close(plan.rhs(K.data[None], u[None], plan.obs_rhs_terms(A, r)[None]), K.T @ u + A.T @ r, tol=1e-12)
 
     factor = SpdFactor(band, p)
     Qd = Q.toarray()
@@ -232,7 +261,7 @@ def check_plan(plan, op, A, rng):
     assert_close(sig.entries(rows, cols), sigma[rows, cols])
     assert_close(sig.diagonal(), np.diag(sigma))
     Kd = K.toarray()
-    assert_close(sigma_quad_diag(sig, K, plan.kk), np.diag(Kd @ sigma @ Kd.T))
+    assert_close(sigma_quad_diag(sig, K.data, plan.kk), np.diag(Kd @ sigma @ Kd.T))
     for name, dK in op.dK.items():
         # every dK is stored on K's pattern, so K's row pairs serve it; a
         # diagonal of dK K^-1 may vanish (the bivariate rotation), so the
@@ -240,12 +269,12 @@ def check_plan(plan, op, A, rng):
         assert np.array_equal(dK.indptr, K.indptr) and np.array_equal(dK.indices, K.indices)
         dKd = dK.toarray()
         scale = np.max(np.abs(dKd) @ np.abs(sigma) @ np.abs(Kd).T)
-        got = sigma_cross_quad_diag(sig, dK, K, plan.kk)
+        got = sigma_cross_quad_diag(sig, dK.data, K.data, plan.kk)
         assert_close(got, np.diag(dKd @ sigma @ Kd.T), scale=scale)
     if A.shape[0]:
         Ad = A.toarray()
         want = np.trace(Ad @ sigma @ Ad.T)
-        assert abs(sigma_obs_quad_trace(sig, A, plan.aa) - want) <= 1e-10 * want
+        assert abs(sigma_obs_quad_trace(sig, A.data, plan.aa) - want) <= 1e-10 * want
 
 
 @pytest.mark.parametrize("a_kind", ["identity", "interpolation", "empty"])
@@ -270,6 +299,104 @@ def test_band_order():
         op = OPERATORS[name]()
         plan = StructurePlan(op.K, sparse.identity(op.dim, format="csr"))
         assert np.array_equal(plan.order, np.arange(op.dim))
+
+
+@pytest.mark.parametrize("op_name", ["tensor", "bivariate", "advdiff"])
+def test_support_pairs_are_k_pairs_on_the_support(op_name):
+    # each parameter's pair list is K's pairs filtered on its dK support:
+    # the same rows, entries and band places, in the same order, as pairing
+    # K's rows afresh and dropping the pairs off the support
+    op = OPERATORS[op_name]()
+    plan = StructurePlan(op.K, sparse.identity(op.dim, format="csr"), op.dK_support)
+    position = np.empty(op.dim, dtype=int)
+    position[plan.order] = np.arange(op.dim)
+    row, a, b = _row_pairs(op.K, op.K)
+    assert plan.dk.keys() == op.dK_support.keys()
+    for name, slots in op.dK_support.items():
+        keep = np.isin(a, slots)
+        pi, pj = position[op.K.indices[a[keep]]], position[op.K.indices[b[keep]]]
+        want = (row[keep], a[keep], b[keep], np.abs(pi - pj) * op.dim + np.minimum(pi, pj))
+        got = plan.dk[name]
+        for w, g in zip(want, (got.row, got.a, got.b, got.flat)):
+            assert np.array_equal(g, w)
+
+
+def reduceat_row_sums(pairs, d1, d2, S):
+    """Each row's products d1[a] d2[b] S[flat], summed by np.add.reduceat
+    (zero for a row with no pair)."""
+    S = S.reshape(S.shape[:-2] + (-1,))
+    products = d1[..., pairs.a] * d2[..., pairs.b] * S[..., pairs.flat]
+    count = np.bincount(pairs.row, minlength=pairs.rows)
+    starts = (np.cumsum(count) - count)[count > 0]
+    out = np.zeros(products.shape[:-1] + (pairs.rows,))
+    out[..., count > 0] = np.add.reduceat(products, starts, axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("op_name", list(OPERATORS))
+def test_row_sums_add_as_reduceat(op_name):
+    # bit for bit, whichever way a pair list sums its rows (short rows
+    # column by column, long ones by reduceat), for stacked chains and for
+    # stacked matrices sharing the gathers: a regrouped sum would move the
+    # gradient in its last bits
+    op = OPERATORS[op_name]()
+    rng = np.random.default_rng(8)
+    A = observation_map("interpolation", op.dim, rng)
+    plan = StructurePlan(op.K, A, op.dK_support)
+    chains, k = 3, 4
+    S = rng.standard_normal((chains, k, plan.bandwidth + 1, op.dim))
+    sig = BandedSigma(S, plan.order)
+    for pairs, nnz in [(plan.kk, op.K.nnz), (plan.aa, A.nnz)] + [
+        (p, op.K.nnz) for p in plan.dk.values()
+    ]:
+        d1, d2, d3 = rng.standard_normal((3, chains, 1, nnz))
+        assert np.array_equal(pairs.row_sums(d1, d2, sig), reduceat_row_sums(pairs, d1, d2, S))
+        got = pairs.row_sums(np.stack([d1, d3]), d2, sig)
+        for g, d in zip(got, (d1, d3)):
+            assert np.array_equal(g, reduceat_row_sums(pairs, d, d2, S))
+        one = BandedSigma(S[0, 0], plan.order)
+        assert np.array_equal(
+            pairs.row_sums(d1[0, 0], d2[0, 0], one), reduceat_row_sums(pairs, d1[0, 0], d2[0, 0], S[0, 0])
+        )
+
+
+def test_rows_of_every_short_length_add_as_reduceat():
+    # rows of 1 to COLUMN_PAIRS pairs, summed column by column, and a list
+    # with one row longer, which takes reduceat: both as reduceat sums
+    rng = np.random.default_rng(10)
+    n = 12
+    for longest in (_linalg.COLUMN_PAIRS, _linalg.COLUMN_PAIRS + 1):
+        rows = np.repeat(np.arange(longest), np.arange(1, longest + 1))
+        cols = np.concatenate([rng.choice(n, k, replace=False) for k in range(1, longest + 1)])
+        M1 = sparse.csr_matrix((rng.standard_normal(rows.size), (rows, cols)), shape=(longest, n))
+        M2 = sparse.csr_matrix(
+            (rng.standard_normal(longest), (np.arange(longest), rng.integers(0, n, longest))),
+            shape=(longest, n),
+        )
+        pairs = _linalg.RowPairs(M1, M2, rng.permutation(n))
+        S = rng.standard_normal((2, 3, n, n))
+        d1, d2 = rng.standard_normal((2, 1, M1.nnz)), rng.standard_normal((2, 1, M2.nnz))
+        got = pairs.row_sums(d1, d2, BandedSigma(S, np.arange(n)))
+        assert np.array_equal(got, reduceat_row_sums(pairs, d1, d2, S))
+
+
+@pytest.mark.parametrize("op_name", list(OPERATORS))
+def test_k_product_is_the_csr_product(op_name):
+    # each chain's rows M X' equal scipy's CSR product bit for bit, for
+    # matrices stored on K's pattern with any values (K and each dK)
+    op = OPERATORS[op_name]()
+    K = op.K
+    plan = StructurePlan(K, sparse.identity(op.dim, format="csr"))
+    rng = np.random.default_rng(9)
+    chains, k = 3, 5
+    X = rng.standard_normal((chains, k, op.dim))
+    datas = [np.stack([K.data] * chains), rng.standard_normal((chains, K.nnz))]
+    datas += [np.stack([dK.data] * chains) for dK in op.dK.values()]
+    for data in datas:
+        got = plan.k_product(data[:, None], X)
+        for c in range(chains):
+            M = sparse.csr_matrix((data[c], K.indices, K.indptr), shape=K.shape)
+            assert np.array_equal(got[c], (M @ X[c].T).T)
 
 
 def nig_model(op):
