@@ -293,17 +293,9 @@ class GibbsChain:
         self._stage = _ThetaStage(self.model.with_theta(theta_natural), self.Y)
         self._cond = None
 
-    def sweep(self, k: int = 1, with_conditionals: bool = False):
-        """Advance k sweeps, returning the k visited states.
-
-        With ``with_conditionals`` the W | V, Y conditional computed at
-        each visited V (already needed for the next W draw) is returned
-        alongside, so gradient estimators can reuse the factorization.
-        """
-        states, conds = lockstep_sweep([self], k, self.rng)[0]
-        if with_conditionals:
-            return states, conds
-        return states
+    def sweep(self, k: int = 1):
+        """Advance k sweeps, returning the k visited states."""
+        return lockstep_sweep([self], k, self.rng)[0][0]
 
 
 def _held_conditional(chains):

@@ -287,7 +287,7 @@ def _mc_gradients(models, Y, draws, priors: Optional[PriorSet] = None) -> Gradie
 
 
 def rb_gradient(
-    model: Model, theta, Y, v_draws, priors: Optional[PriorSet] = None, _conds=None
+    model: Model, theta, Y, v_draws, priors: Optional[PriorSet] = None
 ) -> GradientReport:
     """Rao-Blackwellized estimator using only mixing-variable draws.
 
@@ -295,11 +295,9 @@ def rb_gradient(
     over W | V, Y is computed in closed form (conditional mean plus
     covariance traces), then averaged, negated, and combined with the
     prior gradient.  The k draws go through one pass over stacked (k, n)
-    arrays; ``_conds`` passes the W | V, Y conditionals already computed
-    at them.
+    arrays.
     """
-    conds = None if _conds is None else [_conds]
-    return _first(_rb_gradients([_prepared(model, theta)], Y, [v_draws], priors, conds))
+    return _first(_rb_gradients([_prepared(model, theta)], Y, [v_draws], priors))
 
 
 def _rb_gradients(

@@ -285,15 +285,23 @@ def moment_start(model: Model, Y) -> np.ndarray:
     return theta
 
 
-def _check_options(model: Model, estimator: str, fixed: Sequence[str], **least) -> np.ndarray:
+def _check_options(
+    model: Model, estimator: str, fixed: Sequence[str], positive: dict, **least
+) -> np.ndarray:
     """The mask of the fixed parameters, after rejecting option values with
-    which no fit can run or converge; ``least`` maps an option name to its
-    value and its least allowed value."""
+    which no fit can run or converge; ``positive`` maps an option name to
+    its value, which must be positive (an infinite SGLD decay scale is a
+    constant step), and ``least`` maps an option name to its value (None
+    for an option left unset), which must be finite and at least its least
+    allowed value, given with it.  A step size is in both."""
     if estimator not in ("rb", "mc"):
         raise InputError(f"unknown estimator {estimator!r}; expected 'rb' or 'mc'")
+    for name, value in positive.items():
+        if not value > 0.0:
+            raise InputError(f"{name} must be positive, got {value}")
     for name, (value, minimum) in least.items():
-        if value < minimum:
-            raise InputError(f"{name} must be at least {minimum}, got {value}")
+        if value is not None and not minimum <= value < math.inf:
+            raise InputError(f"{name} must be finite and at least {minimum}, got {value}")
     mask = np.zeros(model.n_params, dtype=bool)
     for name in fixed:
         if name not in model.param_names:
@@ -361,10 +369,13 @@ def map_fit(model: Model, Y, opts: FitOptions = None) -> FitResult:
     """
     opts = opts or FitOptions()
     fixed_mask = _check_options(
-        model, opts.estimator, opts.fixed, chains=(opts.chains, 1), k=(opts.k, 1),
-        max_iters=(opts.max_iters, 0), checkpoint_every=(opts.checkpoint_every, 1),
-        window=(opts.window, 3), sgld_samples=(opts.sgld_samples, 0),
-        sgld_thin=(opts.sgld_thin, 1),
+        model, opts.estimator, opts.fixed,
+        {"step0": opts.step0, "sgld_tau": opts.sgld_tau}, step0=(opts.step0, 0.0),
+        sgld_step0=(opts.sgld_step0, 0.0),
+        chains=(opts.chains, 1), k=(opts.k, 1), max_iters=(opts.max_iters, 0),
+        checkpoint_every=(opts.checkpoint_every, 1), window=(opts.window, 3),
+        sgld_samples=(opts.sgld_samples, 0), sgld_thin=(opts.sgld_thin, 1),
+        decay_start=(opts.decay_start, 1),
     )
     Y = np.asarray(Y, dtype=float)
     tags = model.transform_tags
@@ -540,8 +551,8 @@ def sgld_sample(model: Model, Y, theta0, opts: SgldOptions = None) -> np.ndarray
     """
     opts = opts or SgldOptions()
     fixed_mask = _check_options(
-        model, opts.estimator, opts.fixed, k=(opts.k, 1), thin=(opts.thin, 1),
-        n_samples=(opts.n_samples, 0),
+        model, opts.estimator, opts.fixed, {"tau": opts.tau}, step0=(opts.step0, 0.0),
+        k=(opts.k, 1), thin=(opts.thin, 1), n_samples=(opts.n_samples, 0),
     )
     Y = np.asarray(Y, dtype=float)
     u0 = to_unconstrained(np.asarray(theta0, float), model.transform_tags)

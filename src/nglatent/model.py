@@ -18,12 +18,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from . import transforms as tr
 from ._linalg import StructurePlan
 from .distributions import NoiseSpec, gh_noise_sample
-from .errors import AssemblyError, FactorizationError
+from .errors import AssemblyError
 from .operators import LatentOperator
 
 __all__ = [
@@ -253,19 +252,15 @@ def assemble_model(
 def simulate(model: Model, theta=None, rng=None):
     """Draw (Y, LatentState) from the generative hierarchy.
 
-    Mixing variables come from their GIG priors, the process solves
-    K W = eps_W, and Y = A W + X beta + eps_Y.  The rng is consumed in a
-    fixed order (process block first), so equal seeds give identical
-    output.
+    Mixing variables come from their GIG priors, W = K^-1 eps_W through the
+    operator's own solve (``LatentOperator.solve``), and
+    Y = A W + X beta + eps_Y.  The rng is consumed in a fixed order
+    (process block first), so equal seeds give identical output.
     """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     mdl = model if theta is None else model.with_theta(theta)
     eps_w, v_w = gh_noise_sample(rng, mdl.noise_w)
-    try:
-        lu = splu(sparse.csc_matrix(mdl.op.K))
-    except RuntimeError as exc:
-        raise FactorizationError(f"operator matrix is singular: {exc}") from exc
-    W = lu.solve(eps_w)
+    W = mdl.op.solve(eps_w)
     eps_y, v_y = gh_noise_sample(rng, mdl.noise_y)
     Y = mdl.A @ W + mdl.X @ mdl.beta + eps_y
     return Y, LatentState(W=W, V_W=v_w, V_Y=v_y)

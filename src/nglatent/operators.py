@@ -13,12 +13,18 @@ swaps data arrays and assembles no sparse matrix (Rue & Held 2005,
 section 2.4: fix the graph once, then refill the values).  Compositions
 gather their parts' data through index maps built once.
 
-Each value map also supplies ``logdet_grad()`` = (log|det K|,
-{name: tr(K^-1 dK/dtheta)}) from the structure it builds (Magnus &
-Neudecker, Matrix Differential Calculus, ch. 8): triangular operators read
-their diagonal, the SPD Matern operator a banded Cholesky and selected
-inverse (Rue & Held 2005, section 2.4), compositions their parts.  The
-Matern operator builds the map of its pattern into band storage
+Each value map also supplies, from the structure it builds, the
+log-determinant with its traces, ``logdet_grad()`` = (log|det K|,
+{name: tr(K^-1 dK/dtheta)}) (Magnus & Neudecker, Matrix Differential
+Calculus, ch. 8), and the solve ``solve(b)`` = K^-1 b.  Neither is built
+until it is called, so a parameter update factors nothing.  Triangular
+operators read their diagonal and take one triangular band solve; the
+pinned walk sums its differences out from the pinned node; the SPD Matern
+operator takes a banded Cholesky and selected inverse (Rue & Held 2005,
+section 2.4); advection-diffusion takes one banded LU of its diagonal
+block and substitutes forward over the time steps; compositions use their
+parts'.
+The Matern operator builds the map of its pattern into band storage
 (``BandMap``) once, so each call scatters K's data into the band and
 factors it, with no sparse conversion.
 
@@ -36,11 +42,12 @@ cross term sums only the row pairs its dK can touch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Dict, Mapping, NamedTuple, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dtbtrs
 
 from ._linalg import BandMap, SpdFactor, entry_rows
 from .errors import FactorizationError, InputError, ParameterDomainError, ParameterLookupError
@@ -69,6 +76,7 @@ class _Values(NamedTuple):
     data: np.ndarray  # of K, on the stored pattern
     ddata: Dict[str, np.ndarray]  # of each dK, on the same pattern
     logdet_grad: Callable[[], Tuple[float, Dict[str, float]]]
+    solve: Callable[[np.ndarray], np.ndarray]  # K^-1 b, b of shape (n,) or (n, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +95,7 @@ class LatentOperator:
     dK_support: Dict[str, np.ndarray] = field(repr=False)
     _values: Callable[[Mapping[str, float]], _Values] = field(repr=False)
     _logdet_grad: Callable[[], Tuple[float, Dict[str, float]]] = field(repr=False)
+    _solve: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     @property
     def shape(self):
@@ -126,6 +135,13 @@ class LatentOperator:
         tr(K^-1 dK/dtheta_name)."""
         return self._logdet_grad()
 
+    def solve(self, b) -> np.ndarray:
+        """K^-1 b for b of shape (n,) or (n, r), through K's own structure."""
+        b = np.asarray(b, dtype=float)
+        if b.ndim not in (1, 2) or b.shape[0] != self.K.shape[0]:
+            raise InputError(f"right-hand side of shape {b.shape} for a {self.shape} operator")
+        return self._solve(b)
+
 
 def operator_dtheta(op: LatentOperator, name: str) -> sparse.csr_matrix:
     """dK/dtheta_i at the operator's current parameter values."""
@@ -147,6 +163,7 @@ def _operator(kind, pattern, h, transforms, values, params, support) -> LatentOp
         dK_support=support,
         _values=values,
         _logdet_grad=v.logdet_grad,
+        _solve=v.solve,
     )
 
 
@@ -195,17 +212,13 @@ def _union(*matrices):
     return pattern, [_fill(pattern.nnz, (p, M.data)) for p, M in zip(slots, matrices)], slots
 
 
-def _lu_logdet_grad(K, dK):
-    """Log-determinant and traces from one sparse LU of K (L has a unit
-    diagonal); each trace solves against a dense dK, so K must be small."""
-    try:
-        lu = splu(sparse.csc_matrix(K))
-    except RuntimeError as exc:
-        raise FactorizationError(f"operator factorization failed: {exc}") from exc
-    return (
-        float(np.sum(np.log(np.abs(lu.U.diagonal())))),
-        {name: float(np.trace(lu.solve(d.toarray()))) for name, d in dK.items()},
-    )
+def _blockwise(solve, b, count: int) -> np.ndarray:
+    """(I_count (x) M^-1) b, with ``solve`` = M^-1: the count blocks of b
+    are the columns of one solve."""
+    blocks = b.reshape(count, b.shape[0] // count, -1)
+    m = blocks.shape[1]
+    x = solve(blocks.transpose(1, 0, 2).reshape(m, -1))
+    return x.reshape(m, count, -1).transpose(1, 0, 2).reshape(b.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +232,8 @@ def _bidiagonal(kind, h, name, transform, value, rows) -> LatentOperator:
     sub-diagonal); dK's support is K_00 and the sub-diagonal.
 
     K is triangular and dK shares its triangle, so K^-1 is triangular with
-    diagonal 1 / K_ii: log|det K| and tr(K^-1 dK) read the diagonals."""
+    diagonal 1 / K_ii: log|det K| and tr(K^-1 dK) read the diagonals, and
+    K^-1 b is one triangular band solve."""
     n = h.size
     eye = sparse.identity(n, format="csr")
     pattern, (diag, sub) = _layout((n, n), (eye, [0], [0]), (eye[1:, 1:], [1], [0]))
@@ -229,11 +243,19 @@ def _bidiagonal(kind, h, name, transform, value, rows) -> LatentOperator:
         k00, k_sub, d00, d_sub = rows(theta)
         k_diag, d_diag = np.ones(n), np.zeros(n)
         k_diag[0], d_diag[0] = k00, d00
+
+        def solve(b):
+            # lower band storage: K_jj in row 0, K_j+1,j in row 1
+            ab = np.zeros((2, n))
+            ab[0], ab[1, :-1] = k_diag, k_sub
+            return dtbtrs(ab, b, uplo="L")[0]
+
         return _Values(
             {name: theta},
             _fill(pattern.nnz, (diag, k_diag), (sub, k_sub)),
             {name: _fill(pattern.nnz, (diag, d_diag), (sub, d_sub))},
             lambda: (float(np.sum(np.log(np.abs(k_diag)))), {name: float(np.sum(d_diag / k_diag))}),
+            solve,
         )
 
     support = {name: np.concatenate([diag[0, :1], sub[0]])}
@@ -276,43 +298,36 @@ def rw_operator(order: int, mesh: Mesh1D) -> LatentOperator:
     pattern, places = _layout((n - order, n), *[(eye, [0], [j]) for j in range(order + 1)])
     data = _fill(pattern.nnz, *zip(places, stencil))
 
-    def rectangular():
-        raise InputError("a rectangular random walk has no determinant; pin it first")
+    def rectangular(*_):
+        raise InputError("a rectangular random walk is not invertible; pin it first")
 
     h = mesh.spacings[order - 1 :].copy()
-    return _operator(
-        f"rw{order}", pattern, h, {}, lambda p: _Values({}, data, {}, rectangular), {}, {}
-    )
+    v = _Values({}, data, {}, rectangular, rectangular)
+    return _operator(f"rw{order}", pattern, h, {}, lambda p: v, {}, {})
 
 
 def pin_operator(op: LatentOperator, node: int = 0, weight: float = 1.0) -> LatentOperator:
-    """Append a constraint row pinning one latent node, squaring an
-    intrinsic (rectangular) operator so it can be fitted."""
+    """Append a constraint row pinning one node of an order-1 random walk,
+    squaring it so it can be fitted.
+
+    The rows of K are x_i+1 - x_i for i < n - 1 and x_node, so K is totally
+    unimodular with |det K| = 1, and K x = b sums the differences out from
+    the pinned node."""
+    if op.kind != "rw1":
+        raise InputError(f"pin_operator pins an order-1 random walk, got a {op.kind} operator")
     rows, cols = op.shape
-    if rows >= cols:
-        raise InputError("pin_operator applies to rectangular (intrinsic) operators")
-    if rows + 1 != cols:
-        raise InputError("pin_operator supports a single missing constraint")
     if not 0 <= node < cols:
         raise InputError(f"pin node {node} outside 0..{cols - 1}")
     e = sparse.csr_matrix(([1.0], ([0], [node])), shape=(1, cols))
     pattern, (body, pin) = _layout((cols, cols), (op.K, [0], [0]), (e, [rows], [0]))
 
-    def values(p):
-        v = op._values(p)
-        data = _fill(pattern.nnz, (body, v.data), (pin, 1.0))
-        ddata = {name: _fill(pattern.nnz, (body, d)) for name, d in v.ddata.items()}
-        # factor K once per parameter point
-        logdet_grad = _lu_logdet_grad(
-            _on(pattern, data), {k: _on(pattern, d) for k, d in ddata.items()}
-        )
-        return _Values(v.params, data, ddata, lambda: logdet_grad)
+    def solve(b):
+        x = np.concatenate([np.zeros_like(b[:1]), np.cumsum(b[:-1], axis=0)])
+        return x - x[node] + b[-1]
 
+    v = _Values({}, _fill(pattern.nnz, (body, op.K.data), (pin, 1.0)), {}, lambda: (0.0, {}), solve)
     h = np.concatenate([op.h, [float(weight)]])
-    support = {name: body[0, s] for name, s in op.dK_support.items()}
-    return _operator(
-        f"pinned-{op.kind}", pattern, h, dict(op.transforms), values, dict(op.params), support
-    )
+    return _operator("pinned-rw1", pattern, h, {}, lambda p: v, {}, {})
 
 
 def ou_operator(theta: float, mesh: Mesh1D) -> LatentOperator:
@@ -338,9 +353,9 @@ def matern_operator(kappa: float, mesh: Mesh1D) -> LatentOperator:
     """Whittle-Matern SPDE operator K = kappa^2 C + G on a 1D mesh.
 
     dK = 2 kappa C has the support of the lumped mass matrix C, its
-    diagonal.  K is SPD; its log-determinant and trace come from a banded
-    Cholesky of K, laid out through a ``BandMap`` of the stored pattern
-    built here once."""
+    diagonal.  K is SPD; its log-determinant, trace and solve come from a
+    banded Cholesky of K, laid out through a ``BandMap`` of the stored
+    pattern built here once."""
     fm = fem_matrices(mesh)
     pattern, (mass, stiff), (mass_at, _) = _union(fm.C_lumped, fm.G)
     bands = BandMap(pattern)
@@ -351,13 +366,17 @@ def matern_operator(kappa: float, mesh: Mesh1D) -> LatentOperator:
             raise ParameterDomainError(f"Matern requires kappa > 0, got {kappa}")
         data = kappa**2 * mass + stiff
 
+        factor = cache(lambda: SpdFactor(bands.band(data)))
+
         def logdet_grad():
             # K is SPD and dK = 2 kappa C diagonal, so the trace needs only diag(K^-1)
-            factor = SpdFactor(bands.band(data))
-            trace = (2.0 * kappa * fm.C_lumped.diagonal()) @ factor.sigma_band(0).diagonal()
-            return factor.logdet(), {"kappa": float(trace)}
+            trace = (2.0 * kappa * fm.C_lumped.diagonal()) @ factor().sigma_band(0).diagonal()
+            return factor().logdet(), {"kappa": float(trace)}
 
-        return _Values({"kappa": kappa}, data, {"kappa": 2.0 * kappa * mass}, logdet_grad)
+        return _Values(
+            {"kappa": kappa}, data, {"kappa": 2.0 * kappa * mass}, logdet_grad,
+            lambda b: factor().solve(b),
+        )
 
     h = mesh.weights.copy()
     support = {"kappa": mass_at}
@@ -412,11 +431,16 @@ def tensor_operator(outer: LatentOperator, inner: LatentOperator) -> LatentOpera
             )
             return n_i * ld_o + n_o * ld_i, traces
 
+        def solve(b):
+            # (K_o (x) K_i)^-1 = (K_o^-1 (x) I)(I (x) K_i^-1)
+            x = _blockwise(i.solve, b, n_o)
+            return o.solve(x.reshape(n_o, -1)).reshape(b.shape)
+
         ddata = joint(
             {k: kron(d, i.data) for k, d in o.ddata.items()},
             {k: kron(o.data, d) for k, d in i.ddata.items()},
         )
-        return _Values(joint(o.params, i.params), kron(o.data, i.data), ddata, logdet_grad)
+        return _Values(joint(o.params, i.params), kron(o.data, i.data), ddata, logdet_grad, solve)
 
     transforms = joint(outer.transforms, inner.transforms)
     h = np.kron(outer.h, inner.h)
@@ -483,6 +507,11 @@ def bivariate_operator(
             traces = joint(tr1, tr2, 0.0, d * rho / (1.0 + rho**2))
             return d * 0.5 * np.log1p(rho**2) + ld1 + ld2, traces
 
+        def solve(rhs):
+            # K^-1 = blockdiag(K_1^-1, K_2^-1) (D^-1 (x) I_d)
+            y = np.linalg.solve(D, rhs.reshape(2, -1)).reshape((2, d) + rhs.shape[1:])
+            return np.concatenate([a.solve(y[0]), b.solve(y[1])])
+
         ddata = joint(
             {k: mixed(D, x, None) for k, x in a.ddata.items()},
             {k: mixed(D, None, x) for k, x in b.ddata.items()},
@@ -490,7 +519,7 @@ def bivariate_operator(
             mixed(dD_rho, a.data, b.data),
         )
         params = joint(a.params, b.params, zeta, rho)
-        return _Values(params, mixed(D, a.data, b.data), ddata, logdet_grad)
+        return _Values(params, mixed(D, a.data, b.data), ddata, logdet_grad, solve)
 
     transforms = joint(op1.transforms, op2.transforms, IDENTITY, IDENTITY)
     h = np.concatenate([op1.h, op2.h])
@@ -522,8 +551,11 @@ def replicate_operator(op: LatentOperator, R: int) -> LatentOperator:
             ld, traces = v.logdet_grad()
             return R * ld, {k: R * t for k, t in traces.items()}
 
+        def solve(b):
+            return _blockwise(v.solve, b, R)
+
         ddata = {k: _fill(pattern.nnz, (place, d)) for k, d in v.ddata.items()}
-        return _Values(v.params, _fill(pattern.nnz, (place, v.data)), ddata, logdet_grad)
+        return _Values(v.params, _fill(pattern.nnz, (place, v.data)), ddata, logdet_grad, solve)
 
     h = np.tile(op.h, R)
     support = {k: place[:, s].ravel() for k, s in op.dK_support.items()}
@@ -539,7 +571,9 @@ def advdiff_operator(
 
     Block-lower-bidiagonal with diagonal blocks sqrt(c) C + L / sqrt(c),
     sub-diagonal blocks -sqrt(c) C, and spatial operator
-    L = kappa^2 C + G + B(gamma) (no streamline stabilization).
+    L = kappa^2 C + G + B(gamma) (no streamline stabilization).  One
+    banded LU of the mesh-sized diagonal block K_tt per parameter value
+    serves the log-determinant, its traces and the solve.
     """
     T = int(T)
     if T < 2:
@@ -552,6 +586,11 @@ def advdiff_operator(
     pattern, (diag, sub) = _layout(
         (T * mesh.n, T * mesh.n), (block, starts, starts), (fm.C_lumped, starts[1:], starts[:-1])
     )
+    # K_tt's slots in LAPACK's general band storage, ab[2 w + i - j, j] = K_tt[i, j],
+    # whose top w rows hold the LU's fill-in (w = 1 on a 1D mesh)
+    rows, cols = entry_rows(block), block.indices
+    w = int(np.max(np.abs(rows - cols)))
+    slots = (2 * w + rows - cols) * mesh.n + cols
 
     def values(p):
         kappa, gamma, c = float(p["kappa"]), float(p["gamma"]), float(p["c"])
@@ -570,16 +609,37 @@ def advdiff_operator(
         ddata = {k: _fill(pattern.nnz, (diag, v)) for k, v in dK_tt.items()}
         ddata["c"] = _fill(pattern.nnz, (diag, dK_tt["c"]), (sub, -lumped / (2.0 * rc)))
 
+        @cache
+        def block_lu():
+            ab = np.zeros((3 * w + 1, mesh.n))
+            ab.flat[slots] = K_tt
+            lu, piv, info = dgbtrf(ab, w, w)
+            if info != 0 or not np.all(np.isfinite(lu[2 * w])):
+                raise FactorizationError(f"advection-diffusion block LU failed (info {info})")
+            return lu, piv
+
         def logdet_grad():
             # K and K^-1 are block lower triangular with diagonal blocks K_tt and
-            # K_tt^-1, so the sub-diagonal blocks of dK drop out of the traces
-            ld, traces = _lu_logdet_grad(
-                _on(block, K_tt), {k: _on(block, v) for k, v in dK_tt.items()}
-            )
-            return T * ld, {k: T * v for k, v in traces.items()}
+            # K_tt^-1, so the sub-diagonal blocks of dK drop out of the traces;
+            # tr(K_tt^-1 dK_tt) reads K_tt^-1 on dK_tt's transposed pattern, one
+            # solve against the identity for every parameter
+            lu, piv = block_lu()
+            inv = dgbtrs(lu, w, w, np.eye(mesh.n), piv)[0]
+            ld = float(np.sum(np.log(np.abs(lu[2 * w]))))
+            return T * ld, {k: T * float(inv[cols, rows] @ v) for k, v in dK_tt.items()}
+
+        def solve(b):
+            # block forward substitution: K_tt x_t = b_t + sqrt(c) C x_t-1
+            lu, piv = block_lu()
+            x = b.reshape(T, mesh.n, -1).copy()
+            for t in range(T):
+                if t:
+                    x[t] += rc * lumped[:, None] * x[t - 1]
+                x[t] = dgbtrs(lu, w, w, x[t], piv)[0]
+            return x.reshape(b.shape)
 
         data = _fill(pattern.nnz, (diag, K_tt), (sub, -rc * lumped))
-        return _Values({"kappa": kappa, "gamma": gamma, "c": c}, data, ddata, logdet_grad)
+        return _Values({"kappa": kappa, "gamma": gamma, "c": c}, data, ddata, logdet_grad, solve)
 
     transforms = {"kappa": LOG, "gamma": IDENTITY, "c": LOG}
     params = {"kappa": kappa, "gamma": gamma, "c": c}

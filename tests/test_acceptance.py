@@ -8,8 +8,8 @@ import pytest
 from scipy import optimize, sparse, stats
 
 from nglatent.distributions import GigParams, NoiseSpec, gig_logpdf, noise_kld
-from nglatent.gibbs import GibbsChain, conditional_v_gig_params, gibbs_run
-from nglatent.gradients import augmented_grad, augmented_loglik, mc_gradient, rb_gradient
+from nglatent.gibbs import GibbsChain, conditional_v_gig_params, gibbs_run, lockstep_sweep
+from nglatent.gradients import _rb_gradients, augmented_grad, augmented_loglik, mc_gradient
 from nglatent.inference import (
     FitOptions,
     SgldOptions,
@@ -307,9 +307,9 @@ def test_criterion_07_rao_blackwell_variance_ordering():
     g_mc = np.empty((reps, gen.n_params))
     g_rb = np.empty((reps, gen.n_params))
     for j in range(reps):
-        states, conds = chain.sweep(5, with_conditionals=True)
+        states, conds = lockstep_sweep([chain], 5, chain.rng)[0]
         g_mc[j] = mc_gradient(gen, None, Y, states).g
-        g_rb[j] = rb_gradient(gen, None, Y, states, _conds=conds).g
+        g_rb[j] = _rb_gradients([gen], Y, [states], conds=[conds]).g[0]
     tr_mc = g_mc.var(axis=0, ddof=1).sum()
     tr_rb = g_rb.var(axis=0, ddof=1).sum()
     report(
@@ -345,8 +345,8 @@ def test_criterion_08_sgld_calibration():
     # prec * (beta - m_star) after a single Gibbs sweep.
     for beta0 in (m_star - 1.0, m_star + 0.5):
         chain = GibbsChain(model, Y, np.random.default_rng(0), np.array([beta0, 0.5, 1.0, 0.5]))
-        states, conds = chain.sweep(1, with_conditionals=True)
-        g = rb_gradient(chain.model, None, Y, states, _conds=conds).g[0]
+        states, conds = lockstep_sweep([chain], 1, chain.rng)[0]
+        g = _rb_gradients([chain.model], Y, [states], conds=[conds]).g[0, 0]
         assert abs(g - prec * (beta0 - m_star)) < 1e-10, f"RB gradient is not exact at beta={beta0}"
     # So SGLD at a constant step is the unadjusted Langevin algorithm on
     # N(m_star, v_star): unbiased in the mean, stationary variance

@@ -251,7 +251,8 @@ class TestFit:
     @pytest.mark.parametrize(
         "key, value",
         [("chains", 0), ("checkpoint_every", 0), ("sgld_thin", 0), ("max_iters", -1),
-         ("window", 2), ("sgld_samples", -1), ("chains", "two"),
+         ("window", 2), ("sgld_samples", -1), ("chains", "two"), ("step0", -0.1),
+         ("decay_start", -5), ("decay_start", 0), ("sgld_step0", -2e-4), ("sgld_tau", 0.0),
          ("data.y", "1.5x"), ("data.index", "third")],
     )
     def test_invalid_option_exit_code(self, tmp_path, key, value):

@@ -463,7 +463,7 @@ class TestThetaStage:
         # the next W is drawn from the conditional at the current V
         mu, factor = gibbs._w_conditional(fresh.joint, [chain.v_w], [chain.v_y])
         w = mu[0] + factor.whiten(copy.deepcopy(chain.rng).standard_normal(model.n))
-        states, conds = chain.sweep(2, with_conditionals=True)
+        states, conds = lockstep_sweep([chain], 2, chain.rng)[0]
         assert np.array_equal(states[0].W, w)
         for state, (mu, factor) in zip(states, conds):
             ref_mu, ref_factor = gibbs._w_conditional(fresh.joint, [state.V_W], [state.V_Y])

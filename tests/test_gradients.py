@@ -409,8 +409,8 @@ class TestRbGradient:
         Y, _ = simulate(model, rng=rng)
         chain = GibbsChain(model, Y, rng)
         chain.sweep(20)
-        states, conds = chain.sweep(5, with_conditionals=True)
-        g = rb_gradient(model, None, Y, states, _conds=conds).g
+        states, conds = lockstep_sweep([chain], 5, chain.rng)[0]
+        g = gradients._rb_gradients([model], Y, [states], conds=[conds]).g[0]
         ref = np.mean([dense_rb_gradient(model, Y, s.V_W, s.V_Y) for s in states], axis=0)
         assert np.allclose(g, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
 
@@ -437,9 +437,9 @@ class TestRbGradient:
         Y, _ = simulate(model, rng=rng)
         chain = GibbsChain(model, Y, rng)
         chain.sweep(20)
-        states, conds = chain.sweep(5, with_conditionals=True)
-        g = rb_gradient(model, None, Y, states, _conds=conds).g
-        ref = rb_gradient(every_pair, None, Y, states, _conds=conds).g
+        states, conds = lockstep_sweep([chain], 5, chain.rng)[0]
+        g = gradients._rb_gradients([model], Y, [states], conds=[conds]).g[0]
+        ref = gradients._rb_gradients([every_pair], Y, [states], conds=[conds]).g[0]
         assert np.allclose(g, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
         dense = np.mean([dense_rb_gradient(model, Y, s.V_W, s.V_Y) for s in states], axis=0)
         assert np.allclose(g, dense, rtol=1e-10, atol=1e-10 * np.max(np.abs(dense)))
@@ -557,7 +557,7 @@ class TestStackedChains:
         g_mc = gradients._mc_gradients(models, Y, states).g
         assert g.shape == g_mc.shape == (count, model.n_params)
         for c, (mdl, (draws, conds)) in enumerate(zip(models, runs)):
-            ref = rb_gradient(mdl, None, Y, draws, _conds=conds).g
+            ref = gradients._rb_gradients([mdl], Y, [draws], conds=[conds]).g[0]
             scale = np.max(np.abs(ref))
             if kind == "nig-ar1":
                 assert np.array_equal(g[c], ref)

@@ -1,6 +1,7 @@
 """Source hygiene of the package: every imported name is used, every
 private module-level name is read somewhere in the package, only
-``distributions`` tells the NIG and GAL families apart, importing the CLI
+``distributions`` tells the NIG and GAL families apart, no module factors
+through a generic sparse LU, importing the CLI
 leaves the slow ``scipy.special`` unloaded, every name the benchmark's
 tracer wraps exists, and the fit still calls through the wrapped
 gradient."""
@@ -170,6 +171,57 @@ def test_detects_a_family_name():
         "    return spec.family == 'gal' or d.GAL\n"
     )
     assert family_names(source) == ["NIG (line 2)", "GAL (line 4)", "GAL (line 4)"]
+
+
+def sparse_lu_uses(source: str) -> list:
+    """Where a module imports ``scipy.sparse.linalg`` (whole, as a module
+    or a name from it), reaches it as ``sparse.linalg``, or names
+    ``splu``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+            owner = node.value
+            if node.attr == "linalg" and getattr(owner, "id", getattr(owner, "attr", "")) == "sparse":
+                names = ["scipy.sparse.linalg"]
+        else:
+            continue
+        hits = [n for n in names if n == "splu" or n.startswith("scipy.sparse.linalg")]
+        out += [f"{name} (line {node.lineno})" for name in hits]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_generic_sparse_lu(path):
+    # each operator solves through its own structure (LatentOperator.solve)
+    # and supplies its own log-determinant; a second, generic factorization
+    # path would bypass both
+    assert sparse_lu_uses(path.read_text()) == []
+
+
+def test_detects_a_generic_sparse_lu():
+    source = (
+        "import scipy.sparse.linalg\n"
+        "from scipy.sparse import linalg\n"
+        "from scipy.sparse.linalg import spsolve\n"
+        "from scipy import sparse\n"
+        "def f(K, b):\n"
+        "    return sparse.linalg.spsolve(K, b), splu(K)\n"
+    )
+    assert sparse_lu_uses(source) == [
+        "scipy.sparse.linalg (line 1)",
+        "scipy.sparse.linalg (line 2)",
+        "scipy.sparse.linalg.spsolve (line 3)",
+        "splu (line 6)",
+        "scipy.sparse.linalg (line 6)",
+    ]
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

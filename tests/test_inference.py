@@ -496,6 +496,23 @@ class TestMapFit:
             (FitOptions, "window", 2),
             (FitOptions, "sgld_samples", -1),
             (SgldOptions, "n_samples", -1),
+            # a MAP step that is not finite and positive, an SGLD decay
+            # scale that is not positive, or an SGLD step that is negative
+            # or not finite, ascends, stalls, divides by zero or leaves the
+            # reals (a zero SGLD step is the constant chain of TestSgld, an
+            # infinite decay scale a constant step)
+            (FitOptions, "step0", -0.1),
+            (FitOptions, "step0", 0.0),
+            (FitOptions, "step0", np.nan),
+            (FitOptions, "sgld_step0", np.inf),
+            (FitOptions, "sgld_step0", -2e-4),
+            (FitOptions, "sgld_tau", 0.0),
+            (FitOptions, "decay_start", 0),
+            (FitOptions, "decay_start", -5),
+            (SgldOptions, "step0", -2e-4),
+            (SgldOptions, "step0", np.nan),
+            (SgldOptions, "tau", 0.0),
+            (SgldOptions, "tau", np.nan),
         ],
     )
     def test_option_values_that_cannot_run(self, monkeypatch, options, field, value):
@@ -513,6 +530,22 @@ class TestMapFit:
                 map_fit(model, Y, FitOptions(**{"max_iters": 0, field: value}))
             else:
                 sgld_sample(model, Y, model.theta_natural(), SgldOptions(**{field: value}))
+
+    def test_infinite_sgld_decay_scale_is_a_constant_step(self):
+        # step0 (1 + t / inf)^-0.51 = step0, as at a decay scale so large
+        # that 1 + t / tau rounds to 1
+        model = conjugate_toy()
+        Y = np.array([1.0, 2.0, 0.5, 1.5])
+        theta0 = model.theta_natural()
+
+        def draws(tau):
+            fit = map_fit(model, Y, FitOptions(max_iters=2, sgld_samples=3, sgld_tau=tau, seed=4))
+            alone = sgld_sample(model, Y, theta0, SgldOptions(n_samples=3, tau=tau, seed=4))
+            return fit.posterior, alone
+
+        for got, want in zip(draws(np.inf), draws(1e300)):
+            assert np.all(np.isfinite(got))
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("error", [ParameterDomainError, FactorizationError])
     def test_chain_start_failure_is_an_optimization_error(self, monkeypatch, error):

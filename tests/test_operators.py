@@ -4,11 +4,11 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from nglatent._linalg import SpdFactor
-from nglatent.distributions import NoiseSpec
+from nglatent.distributions import NoiseSpec, gh_noise_sample
 from nglatent.errors import InputError, ParameterDomainError, ParameterLookupError
 from nglatent.inference import FitOptions, map_fit
 from nglatent.mesh import build_interval_mesh
-from nglatent.model import assemble_model
+from nglatent.model import assemble_model, simulate
 from nglatent.operators import (
     advdiff_operator,
     ar1_operator,
@@ -735,3 +735,144 @@ class TestSquareOperatorInvariants:
             for i, j, v in zip(dcoo.row, dcoo.col, dcoo.data):
                 if v != 0.0:
                     assert (int(i), int(j)) in pattern, (name, i, j)
+
+
+SOLVE_MESH = build_interval_mesh(np.cumsum(np.r_[0.0, np.linspace(0.4, 1.2, 13)]))
+
+# every kind of operator solve: triangular band, SPD band, both tensor
+# orders, the bivariate mixing, replicates of a tensor, the pinned walk at
+# its first, an interior and its last node, and the block substitution
+SOLVE_CASES = {
+    "ar1": lambda: ar1_operator(0.8, 500),
+    "ou": lambda: ou_operator(0.9, SOLVE_MESH),
+    "matern": lambda: matern_operator(1.3, SOLVE_MESH),
+    "tensor": lambda: tensor_operator(ar1_operator(0.6, 4), matern_operator(1.1, MESH6)),
+    "tensor-reversed": lambda: tensor_operator(
+        matern_operator(1.1, MESH6), ou_operator(0.6, SOLVE_MESH)
+    ),
+    "bivariate": lambda: bivariate_operator(
+        matern_operator(0.9, SOLVE_MESH), ou_operator(1.7, SOLVE_MESH), 2.5, 0.5
+    ),
+    "replicate-tensor": lambda: replicate_operator(
+        tensor_operator(ar1_operator(0.6, 4), matern_operator(1.1, MESH6)), 3
+    ),
+    "pinned-rw1-first": lambda: pin_operator(rw_operator(1, SOLVE_MESH), node=0),
+    "pinned-rw1-interior": lambda: pin_operator(rw_operator(1, SOLVE_MESH), node=7),
+    "pinned-rw1-last": lambda: pin_operator(rw_operator(1, SOLVE_MESH), node=SOLVE_MESH.n - 1),
+    "advdiff": lambda: advdiff_operator(1.2, 0.4, 0.8, MESH6, T=4),
+}
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", list(SOLVE_CASES))
+def test_solve_matches_dense_solve(kind):
+    op = SOLVE_CASES[kind]()
+    rng = np.random.default_rng(5)
+    for b in (rng.standard_normal(op.dim), rng.standard_normal((op.dim, 3))):
+        x = op.solve(b)
+        assert x.shape == b.shape
+        assert relative_error(x, np.linalg.solve(op.K.toarray(), b)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", list(SOLVE_CASES))
+def test_simulate_matches_sparse_lu(kind):
+    # simulate solves K W = eps_W through the operator; a sparse LU of K,
+    # fed the same noise draws, is the oracle
+    op = SOLVE_CASES[kind]()
+    model = assemble_model(
+        A=sparse.identity(op.dim, format="csr"),
+        X=np.ones((op.dim, 1)),
+        op=op,
+        noise_w=NoiseSpec("nig", sigma=1.0, mu=0.5, nu=1.0),
+        noise_y=NoiseSpec("gaussian", sigma=0.5),
+        beta=np.array([0.3]),
+    )
+    Y, state = simulate(model, rng=np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    eps_w, v_w = gh_noise_sample(rng, model.noise_w)
+    W = splu(sparse.csc_matrix(model.op.K)).solve(eps_w)
+    eps_y, _ = gh_noise_sample(rng, model.noise_y)
+    assert np.array_equal(state.V_W, v_w)
+    assert relative_error(state.W, W) <= 1e-12
+    assert relative_error(Y, W + 0.3 + eps_y) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", list(CASES))
+def test_parameter_update_factors_nothing(monkeypatch, kind):
+    # a factor is built when the solve or the log-determinant is called,
+    # never by with_params, so a model update costs no factorization
+    import nglatent.operators as operators
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorization in a parameter update")
+
+    make, _, points = CASES[kind]
+    op = make(points[0])
+    for name in ("SpdFactor", "dgbtrf", "dtbtrs"):
+        monkeypatch.setattr(operators, name, refuse)
+    for p in points:
+        op.with_params(p)
+
+
+@pytest.mark.parametrize(
+    "factorization, make, points",
+    [
+        ("dgbtrf", lambda: advdiff_operator(1.2, 0.4, 0.8, MESH6, T=4),
+         ({"kappa": 0.7}, {"gamma": -0.3, "c": 1.5})),
+        ("SpdFactor", lambda: matern_operator(1.3, MESH6), ({"kappa": 0.7}, {"kappa": 2.0})),
+    ],
+)
+def test_one_factor_per_parameter_value(monkeypatch, factorization, make, points):
+    # one factor of K (advection-diffusion: of its diagonal block K_tt)
+    # serves the solve, log|det K| and the traces at a parameter value
+    import nglatent.operators as operators
+
+    calls = []
+    build = getattr(operators, factorization)
+    monkeypatch.setattr(operators, factorization, lambda *a: calls.append(a) or build(*a))
+    op = make()
+    for p in points:
+        updated = op.with_params(p)
+        updated.solve(np.ones(op.dim))
+        updated.logdet_grad()
+        updated.solve(np.ones((op.dim, 2)))
+        updated.logdet_grad()
+    assert len(calls) == len(points)
+
+
+class TestPin:
+    @pytest.mark.parametrize("node", [0, 2, MESH6.n - 1])
+    def test_unit_determinant(self, node):
+        # K is totally unimodular: |det K| = 1 exactly, and a walk has no
+        # parameters to differentiate
+        op = pin_operator(rw_operator(1, MESH6), node=node)
+        assert op.logdet_grad() == (0.0, {})
+        assert np.linalg.slogdet(op.K.toarray())[1] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            rw_operator(2, MESH6),
+            ar1_operator(0.5, 6),
+            matern_operator(1.0, MESH6),
+            pin_operator(rw_operator(1, MESH6)),
+        ],
+        ids=lambda op: op.kind,
+    )
+    def test_refuses_all_but_an_order_one_walk(self, op):
+        with pytest.raises(InputError, match="order-1 random walk"):
+            pin_operator(op)
+
+    def test_node_outside_the_walk(self):
+        with pytest.raises(InputError, match="pin node"):
+            pin_operator(rw_operator(1, MESH6), node=MESH6.n)
+
+
+def test_solve_refuses_a_mismatched_right_hand_side():
+    op = ar1_operator(0.5, 6)
+    for b in (np.ones(5), np.ones((6, 2, 1))):
+        with pytest.raises(InputError, match="right-hand side"):
+            op.solve(b)
